@@ -26,8 +26,7 @@ from .errors import (DivergentMassError, DomainError, QuadratureDivergence,
                      WellDefinednessError)
 from .operators import (OperatorSetting, apply_classical, apply_generalized,
                         apply_sublinear, hilbert_schmidt_partial, lp_hat_norm,
-                        moments, operator_norm_lower, operator_norm_sample,
-                        suma_ratio)
+                        moments, operator_norm_lower, suma_ratio)
 from .results import NormValue
 from .verify import ScenarioReport, run_scenario, scenario_ids, write_report
 from .weights import (RadialWeight, classify, condition_99, muckenhoupt,
@@ -45,7 +44,7 @@ __all__ = [
     "eta_gamma_series", "hardy_mean", "hilbert_schmidt_partial",
     "is_omega_lacunary", "lacunary_norm", "lacunary_sup_test", "lambda_norm",
     "lp_hat_norm", "mixed_norm", "mixed_norm_sup", "modulus_of_continuity",
-    "moments", "muckenhoupt", "operator_norm_lower", "operator_norm_sample",
+    "moments", "muckenhoupt", "operator_norm_lower",
     "parse_function_spec", "parse_weight", "partition",
     "positive_series_norm", "radii", "run_scenario", "scenario_ids",
     "suma_ratio", "tail", "write_report",

@@ -1,11 +1,16 @@
 """Analytic functions as truncated Maclaurin series, and their norms.
 
 Functions are finite coefficient lists.  Circle means M_p(r, f) are
-computed by uniform sampling at N-th roots of unity via the FFT (sampling a
-degree-d polynomial at N points is the inverse DFT of the coefficient
-vector folded modulo N, which is exact for every N), doubling N until the
-p-mean stabilizes.  For p = 2 Parseval gives a direct coefficient formula
-which is used as a fast path.
+computed by uniform sampling at the N-th roots of unity via the FFT,
+doubling N until the p-mean stabilizes.  The scaled coefficients c_k r^k
+are built once per call, for all radii at once.  Sampling a degree-d
+polynomial at N points is the DFT of that row folded modulo N, exact for
+every N; the FFT zero-pads the row itself, so the fold happens only when
+d + 1 > N, i.e. at the 2^18 node cap.  Real coefficients (every corpus
+function, operator image and symbol in the scenarios) take the real FFT:
+|f| is symmetric under conjugation, so the N/2 + 1 bins of the half
+spectrum give the mean, the inner bins weighted twice.  For p = 2 Parseval
+gives a direct coefficient formula which is used as a fast path.
 
 Radial norm integrals reuse the geometric-panel scheme of quadrature.py in
 u = 1 - r.  For rapidly increasing weights the tail of the weight decays
@@ -37,12 +42,10 @@ __all__ = [
     "mixed_norm",
     "mixed_norm_sup",
     "lambda_norm",
-    "little_lambda_profile",
     "dirichlet_norm",
     "partial_sum",
     "hardy_norm_poly",
     "modulus_of_continuity",
-    "modulus_of_continuity_sup",
     "differentiate",
     "weighted_radial_integral",
 ]
@@ -222,28 +225,53 @@ def _power_matrix(us, ks, factor=1.0):
     return mat
 
 
-def _circle_samples(coeffs, us, n):
-    """Values of f on the circles r_i = 1 - us[i] at the n-th roots of unity.
+def _scaled_coefficients(coeffs, us):
+    """Rows c_k r_i^k for the radii r_i = 1 - us[i], computed once per call.
 
-    Exact for every n: coefficients are folded modulo n before the inverse
-    DFT (aliasing is the identity sum_k c_k r^k zeta^{jk} rearranged).
-    Radial factors are computed from u through log1p, so radii within
-    double rounding of 1 lose no precision.
+    Real when every coefficient has zero imaginary part, so the circle
+    samples can use the half-spectrum real FFT.  Radial factors come from
+    u through log1p, so radii within double rounding of 1 lose no precision.
     """
-    us = np.asarray(us, dtype=float)
-    k = np.arange(len(coeffs))
-    scaled = coeffs[None, :] * _power_matrix(us, k)
-    pad = (-len(coeffs)) % n
-    if pad:
-        scaled = np.pad(scaled, [(0, 0), (0, pad)])
-    folded = scaled.reshape(len(us), -1, n).sum(axis=1)
-    return np.fft.ifft(folded, axis=1) * n
+    if not np.any(coeffs.imag):
+        coeffs = coeffs.real
+    return coeffs[None, :] * _power_matrix(us, np.arange(len(coeffs)))
+
+
+def _circle_moduli(scaled, n):
+    """|f| at the n-th roots of unity on every circle, and the node weights.
+
+    The DFT of the coefficient row folded modulo n samples f exactly at the
+    n nodes (aliasing is the identity sum_k c_k r^k zeta^{jk} rearranged);
+    the FFT pads shorter rows itself, so folding is needed only when the
+    degree reaches n.  Real rows take the real FFT: by conjugate symmetry
+    the n/2 + 1 bins carry every modulus, the inner ones twice, which the
+    returned weights (summing to 1 over a row) account for in means.
+    """
+    m = scaled.shape[1]
+    if m > n:
+        folded = np.zeros((len(scaled), n), dtype=scaled.dtype)
+        for lo in range(0, m, n):
+            folded[:, :min(n, m - lo)] += scaled[:, lo:lo + n]
+        scaled = folded
+    if np.isrealobj(scaled):
+        mods = np.abs(np.fft.rfft(scaled, n=n, axis=1))
+        weights = np.full(n // 2 + 1, 2.0 / n)
+        weights[0] = weights[-1] = 1.0 / n
+    else:
+        mods = np.abs(np.fft.fft(scaled, n=n, axis=1))
+        weights = np.full(n, 1.0 / n)
+    return mods, weights
 
 
 def hardy_means_u(f, p, us, rel_tol=1e-9):
     """M_p(1-u, f) for every u in ``us`` (vectorized node-doubling).
 
     Returns (values, diagnostics).  p = 2 uses the exact Parseval formula.
+    Otherwise N nodes on each circle, starting at the least power of two
+    >= 2d + 2 (clamped to [2^7, 2^18]) and doubling until two successive
+    means agree to ``rel_tol`` or N reaches 2^18 (``capped``).  ``nodes`` is
+    that full-circle N, also when real coefficients let the real FFT return
+    only the N/2 + 1 bins of the half spectrum.
     """
     coeffs = f.coefficients
     us = np.asarray(us, dtype=float)
@@ -259,9 +287,11 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
 
     d = len(coeffs) - 1
     n = 2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, int(math.ceil(math.log2(max(2 * d + 2, 4))))))
+    scaled = _scaled_coefficients(coeffs, us)
     prev = None
     while True:
-        vals = np.mean(np.abs(_circle_samples(coeffs, us, n)) ** p, axis=1) ** (1.0 / p)
+        mods, weights = _circle_moduli(scaled, n)
+        vals = (mods ** p @ weights) ** (1.0 / p)
         if prev is not None:
             err = np.max(np.abs(vals - prev) / (np.abs(vals) + 1e-300))
             if err < rel_tol:
@@ -294,9 +324,10 @@ def m_infinity_u(f, us, rel_tol=1e-6):
         return vals, {"method": "nonneg-exact"}
     d = len(coeffs) - 1
     n = 2 ** max(9, min(_N_CAP_LOG2, int(math.ceil(math.log2(max(4 * d + 4, 4))))))
+    scaled = _scaled_coefficients(coeffs, us)
     prev = None
     while True:
-        vals = np.max(np.abs(_circle_samples(coeffs, us, n)), axis=1)
+        vals = np.max(_circle_moduli(scaled, n)[0], axis=1)
         if prev is not None:
             err = np.max(np.abs(vals - prev) / (np.abs(vals) + 1e-300))
             if err < rel_tol or n >= 2 ** _N_CAP_LOG2:
@@ -455,21 +486,6 @@ def lambda_norm(g, q, alpha, eta, w, grid=None):
                   method="sup-grid", **sup.diagnostics)
 
 
-def little_lambda_profile(g, q, alpha, eta, w, r_grid):
-    """Values M_q(r, g')(1-r)^(1-alpha)/what(r)^eta on the given r grid.
-
-    The little-lambda (compactness) membership question is whether this
-    profile decays to zero; the verify layer judges trends, this just
-    reports the numbers.
-    """
-    us = 1.0 - np.asarray(r_grid, dtype=float)
-    means, _ = hardy_means_u(g.derivative(), q, us)
-    vals = means * us ** (1.0 - alpha)
-    if eta:
-        vals = vals / np.asarray(w.tail_u(us), dtype=float) ** eta
-    return [float(v) for v in vals]
-
-
 def dirichlet_norm(g):
     """Dirichlet norm (|g(0)|^2 + sum k |b_k|^2)^(1/2) of the truncation.
 
@@ -497,8 +513,3 @@ def modulus_of_continuity(g, q, h):
     diff = AnalyticFunction(c * (np.exp(1j * k * h) - 1.0))
     return hardy_mean(diff, q, 1.0)
 
-
-def modulus_of_continuity_sup(g, q, t, levels=20):
-    """sup over 0 < h <= t via a dyadic h-grid h = t 2^{-i}."""
-    hs = t * 2.0 ** (-np.arange(levels, dtype=float))
-    return max(modulus_of_continuity(g, q, float(h)) for h in hs)

@@ -229,7 +229,6 @@ def _build_parser():
     p_v.add_argument("--p", type=float, default=None)
     p_v.add_argument("--q", type=float, default=None)
     p_v.add_argument("--seed", type=int, default=0)
-    p_v.add_argument("--threads", type=int, default=1)
     p_v.add_argument("--out", default=None)
     p_v.add_argument("--format", choices=["csv", "json"], default="csv")
     p_v.set_defaults(func=_cmd_verify)

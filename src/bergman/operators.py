@@ -15,7 +15,7 @@ integrability of tail(r)^(-1/(p-1)) (checked once per OperatorSetting);
 operator norms are estimated from below with the two test-function
 families of the norm-equivalence theorems (Bergman kernels normalized on
 Carleson boxes for q >= p, and the Hilbert transform of a mixed-mean
-profile for q < p) and sampled from random polynomials for upper evidence.
+profile for q < p).
 The Hilbert-Schmidt sum over the monomial basis of A^2_omega decides
 membership of H_g in the Schatten class S_2 against the Dirichlet norm of
 the symbol.
@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 from scipy.special import gammaln, hyp2f1
 
-from .analytic import AnalyticFunction, bergman_norm, hardy_means_u, random_function
+from .analytic import AnalyticFunction, bergman_norm, hardy_means_u
 from .errors import DomainError, WellDefinednessError
 from .quadrature import (_NODES as _GAUSS_NODES, _WEIGHTS as _GAUSS_WEIGHTS,
                          geometric_u_grid, integrate_geometric,
@@ -437,31 +437,6 @@ def operator_norm_lower(g, setting, part, n_max=6, gamma=None,
             if den > 0:
                 best = max(best, num / den)
     return best
-
-
-def operator_norm_sample(g, setting, n_samples=100, degree=256, seed=0):
-    """Empirical sup of ||H_g f||_q / ||f||_p over random polynomials.
-
-    Samples have i.i.d. uniform [0,1] coefficients (nonnegative, so the
-    sublinear and linear operators agree on the radius).  Returns
-    (sup ratio, index of the maximizing sample).
-    """
-    setting.require_well_defined()
-    if not np.any(g.coefficients[1:]):
-        return 0.0, -1
-    w = setting.weight
-    k_max = max(g.degree - 1, 0)
-    best, best_i = 0.0, -1
-    for i in range(n_samples):
-        f = random_function(degree, seed + i, dist="unit")
-        den = float(bergman_norm(f, setting.p, w))
-        if den == 0:
-            continue
-        img = apply_generalized(g, f, k_max, setting)
-        ratio = float(bergman_norm(img, setting.q, w)) / den
-        if ratio > best:
-            best, best_i = ratio, i
-    return best, best_i
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,17 @@ class ScenarioReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _config(config, defaults, overrides=("window",)):
+    """The defaults updated by ``config``, which may set only their keys and
+    the ``overrides``: an unknown key would otherwise be ignored silently."""
+    unknown = sorted(set(config) - set(defaults) - set(overrides))
+    if unknown:
+        known = sorted(set(defaults) | set(overrides))
+        raise DomainError("unknown config keys %s (known: %s)"
+                          % (", ".join(unknown), ", ".join(known)))
+    return {**defaults, **config}
+
+
 def _case(case_id, params, lhs, rhs, verdict="ok"):
     ratio = lhs / rhs if (math.isfinite(lhs) and math.isfinite(rhs) and rhs != 0) \
         else math.nan
@@ -185,11 +196,10 @@ def hat_weight(w):
 
 def _th_dec(config):
     t0 = time.monotonic()
-    cfg = {"weights": ["const", "linear", "std-0.5", "logpow2"],
-           "pairs": [(2.0, 2.0), (2.0, 3.0), (3.0, 1.5)],
-           "alphas": [0.5, 1.0, 2.0],
-           "degree": 256, "count": 30, "seed": 0}
-    cfg.update(config)
+    cfg = _config(config, {
+        "weights": ["const", "linear", "std-0.5", "logpow2"],
+        "pairs": [(2.0, 2.0), (2.0, 3.0), (3.0, 1.5)],
+        "alphas": [0.5, 1.0, 2.0], "degree": 256, "count": 30, "seed": 0})
     rep = ScenarioReport("TH-DEC", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["TH-DEC"])
     fns = corpus_functions(cfg["degree"], cfg["count"], cfg["seed"])
@@ -241,8 +251,7 @@ def _th_dec(config):
 
 def _cor_prev(config):
     t0 = time.monotonic()
-    cfg = {"q": 2.0, "gamma": 1.0, "m": 2.0, "seed": 0}
-    cfg.update(config)
+    cfg = _config(config, {"q": 2.0, "gamma": 1.0, "m": 2.0, "seed": 0})
     rep = ScenarioReport("COR-PREV", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["COR-PREV"])
 
@@ -312,9 +321,8 @@ def _lacunary_series(w, q, count, seed, k_terms):
 
 def _th_lac(config):
     t0 = time.monotonic()
-    cfg = {"weights": ["const", "logpow2"], "qs": [1.0, 2.0, 3.0],
-           "count": 20, "seed": 7, "k_terms": 14}
-    cfg.update(config)
+    cfg = _config(config, {"weights": ["const", "logpow2"], "seed": 7,
+                           "qs": [1.0, 2.0, 3.0], "count": 20, "k_terms": 14})
     rep = ScenarioReport("TH-LAC", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["TH-LAC"])
     for wname in cfg["weights"]:
@@ -380,9 +388,8 @@ def separating_example_growth(w, q_coeff, q_norm, n_counts=(12, 24, 36)):
 
 def _th_lacsup(config):
     t0 = time.monotonic()
-    cfg = {"weights": ["const", "logpow2"], "betas": [0.5, 1.0],
-           "seed": 3, "k_terms": 16}
-    cfg.update(config)
+    cfg = _config(config, {"weights": ["const", "logpow2"],
+                           "betas": [0.5, 1.0], "seed": 3, "k_terms": 16})
     rep = ScenarioReport("TH-LACSUP", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["TH-LACSUP"])
     for wname in cfg["weights"]:
@@ -418,9 +425,8 @@ def _th_lacsup(config):
 
 def _th_gorro(config):
     t0 = time.monotonic()
-    cfg = {"weight": "std-0.5", "p": 2.0, "j_max": 12, "n_random": 100,
-           "seed": 11, "escape": None}
-    cfg.update(config)
+    cfg = _config(config, {"weight": "std-0.5", "p": 2.0, "j_max": 12,
+                           "n_random": 100, "seed": 11, "escape": None})
     rep = ScenarioReport("TH-GORRO", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["TH-GORRO"])
     w = named_weight(cfg["weight"])
@@ -477,9 +483,8 @@ def _hilbert_norm_general(phi, edge, p, w, k_max=2 ** 14):
 
 def _cor_hilb(config):
     t0 = time.monotonic()
-    cfg = {"weight": "std-0.5", "ps": [1.5, 2.0, 3.0], "count": 20,
-           "degree": 128, "seed": 5}
-    cfg.update(config)
+    cfg = _config(config, {"weight": "std-0.5", "ps": [1.5, 2.0, 3.0],
+                           "count": 20, "degree": 128, "seed": 5})
     rep = ScenarioReport("COR-HILB", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["COR-HILB"])
     w = named_weight(cfg["weight"])
@@ -518,9 +523,9 @@ _SYMBOLS = {
 
 def _th_main_pq(config):
     t0 = time.monotonic()
-    cfg = {"weight": "std-0.5", "p": 2.0, "q": 2.0,
-           "symbols": ["z", "z2", "logk", "binom0.5"], "n_max": 6, "seed": 0}
-    cfg.update(config)
+    cfg = _config(config, {"weight": "std-0.5", "p": 2.0, "q": 2.0, "seed": 0,
+                           "symbols": ["z", "z2", "logk", "binom0.5"],
+                           "n_max": 6})
     rep = ScenarioReport("TH-MAIN-PQ", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["TH-MAIN-PQ"])
     w = named_weight(cfg["weight"])
@@ -555,9 +560,8 @@ def _th_main_pq(config):
 
 def _th_main_qp(config):
     t0 = time.monotonic()
-    cfg = {"weight": "std-0.5", "p": 3.0, "q": 2.0,
-           "symbols": ["z", "z2", "logk", "binom0.5"], "seed": 0}
-    cfg.update(config)
+    cfg = _config(config, {"weight": "std-0.5", "p": 3.0, "q": 2.0, "seed": 0,
+                           "symbols": ["z", "z2", "logk", "binom0.5"]})
     rep = ScenarioReport("TH-MAIN-QP", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["TH-MAIN-QP"])
     w = named_weight(cfg["weight"])
@@ -577,9 +581,9 @@ def _th_main_qp(config):
 
 def _th_compact(config):
     t0 = time.monotonic()
-    cfg = {"weight": "const", "q": 2.0, "p": 2.0, "eta": 0.0,
-           "symbols": ["z2", "logk", "binom0.5"], "seed": 0}
-    cfg.update(config)
+    cfg = _config(config, {"weight": "const", "q": 2.0, "p": 2.0, "eta": 0.0,
+                           "symbols": ["z2", "logk", "binom0.5"], "seed": 0},
+                  overrides=())
     rep = ScenarioReport("TH-COMPACT", seed=cfg["seed"])
     w = named_weight(cfg["weight"])
     part = dec.partition(w, 1.0, 2 ** 13)
@@ -602,8 +606,9 @@ def _th_compact(config):
 
 def _th_hs(config):
     t0 = time.monotonic()
-    cfg = {"weight": "std-0.5", "K": 4000, "seed": 17, "k_suma": 200}
-    cfg.update(config)
+    cfg = _config(config, {"weight": "std-0.5", "K": 4000, "seed": 17,
+                           "k_suma": 200},
+                  overrides=("window", "suma_window", "stab_bar"))
     rep = ScenarioReport("TH-HS", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["TH-HS"])
     suma_window = cfg.get("suma_window", default_windows()["EQ-SUMA"])
@@ -647,9 +652,8 @@ def _th_hs(config):
 
 def _lem_limits(config):
     t0 = time.monotonic()
-    cfg = {"ps": [1.5, 2.0, 3.0], "offsets": [-0.75, -0.25, 0.0, 0.5],
-           "seed": 0}
-    cfg.update(config)
+    cfg = _config(config, {"ps": [1.5, 2.0, 3.0],
+                           "offsets": [-0.75, -0.25, 0.0, 0.5], "seed": 0})
     rep = ScenarioReport("LEM-LIMITS", seed=cfg["seed"])
     for p in cfg["ps"]:
         for off in cfg["offsets"]:
@@ -673,8 +677,7 @@ def _lem_limits(config):
 
 def _prop_lip(config):
     t0 = time.monotonic()
-    cfg = {"weight": "std-0.5", "p": 2.0, "eta": 0.0, "seed": 0}
-    cfg.update(config)
+    cfg = _config(config, {"weight": "std-0.5", "p": 2.0, "eta": 0.0, "seed": 0})
     rep = ScenarioReport("PROP-LIP", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["PROP-LIP"])
     w = named_weight(cfg["weight"])
@@ -704,9 +707,8 @@ def _prop_lip(config):
 
 def _ineq_minfty(config):
     t0 = time.monotonic()
-    cfg = {"weights": ["const", "std-0.5", "std1"], "ps": [1.5, 2.0, 3.0],
-           "degree": 512, "count": 50, "seed": 23}
-    cfg.update(config)
+    cfg = _config(config, {"weights": ["const", "std-0.5", "std1"], "seed": 23,
+                           "ps": [1.5, 2.0, 3.0], "degree": 512, "count": 50})
     rep = ScenarioReport("INEQ-MINFTY", seed=cfg["seed"])
     fns = corpus_functions(cfg["degree"], cfg["count"], cfg["seed"])
     half_pi = math.pi / 2.0
@@ -761,8 +763,8 @@ def _ineq_minfty(config):
 
 def _lem_up(config):
     t0 = time.monotonic()
-    cfg = {"ps": [1.5, 2.0, 3.0], "offsets": [-0.75, -0.25, 0.5], "seed": 0}
-    cfg.update(config)
+    cfg = _config(config, {"ps": [1.5, 2.0, 3.0],
+                           "offsets": [-0.75, -0.25, 0.5], "seed": 0})
     rep = ScenarioReport("LEM-UP", seed=cfg["seed"])
     window = cfg.get("window", default_windows()["LEM-UP"])
     us = geometric_u_grid(30, 2)
@@ -799,7 +801,7 @@ def _lem_up(config):
                 b = integrate_geometric(f_b, u, 1.0) if u < 1.0 else 0.0
                 if b > 0:
                     vals.append(u ** p / float(w.tail_u(u)) * b / u)
-            cond_iv = (max(vals) / min(vals)) <= window if vals else False
+            cond_iv = bool(max(vals) / min(vals) <= window) if vals else False
             agree = (cond_ii == in_mp) and (cond_iii == in_mp) and \
                 (cond_iv == in_mp)
             rep.cases.append(_case(

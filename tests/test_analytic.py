@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from bergman.analytic import (AnalyticFunction, bergman_norm, binomial_kernel,
                               differentiate, dirichlet_norm, hardy_mean,
-                              hardy_norm_poly, log_kernel, m_infinity,
-                              mixed_norm, mixed_norm_sup,
-                              modulus_of_continuity, parse_function_spec,
-                              partial_sum, random_function)
+                              hardy_means_u, hardy_norm_poly, log_kernel,
+                              m_infinity, m_infinity_u, mixed_norm,
+                              mixed_norm_sup, modulus_of_continuity,
+                              parse_function_spec, partial_sum,
+                              random_function)
 from bergman.errors import DomainError
+from bergman.operators import apply_classical
+from bergman.quadrature import _NODES
 from bergman.weights import const_weight, moment_radial, std_weight
 
 # round to avoid coefficients so tiny that |f|^p underflows to zero
@@ -67,6 +70,102 @@ def test_hardy_norm_poly_is_boundary_mean():
     f = AnalyticFunction([1.0, 1.0])
     assert hardy_norm_poly(f, 4) == pytest.approx(hardy_mean(f, 4, 1.0),
                                                   rel=1e-10)
+
+
+# sign-changing real coefficients; zeros at moduli 0.783 (pair) and 2.17
+_SIGNED = [1.0, -2.0, 0.5, 0.75]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("r", [0.5, 0.9, 1.0])
+def test_hardy_mean_mpmath_quadrature(p, r):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        def integrand(t):
+            z = r * mpmath.expj(t)
+            return abs(mpmath.polyval(_SIGNED[::-1], z)) ** p
+        nodes = mpmath.linspace(0, 2 * mpmath.pi, 9)
+        expect = float((mpmath.quad(integrand, nodes) / (2 * mpmath.pi))
+                       ** (1 / mpmath.mpf(p)))
+    got = hardy_mean(AnalyticFunction(_SIGNED), p, r, rel_tol=1e-13)
+    assert got == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hardy_means_real_and_complex_paths_agree(seed):
+    # e^{i phi} f has complex coefficients and the same moduli at the same
+    # nodes as the real f, so the node sequence and the means coincide
+    c = np.random.default_rng(seed).standard_normal(40)
+    us = np.array([0.5, 0.2, 0.05])
+    for p in (1.5, 3.0):
+        real, d_real = hardy_means_u(AnalyticFunction(c), p, us)
+        cplx, d_cplx = hardy_means_u(AnalyticFunction(c * np.exp(0.7j)), p, us)
+        assert d_cplx["nodes"] == d_real["nodes"]
+        assert np.allclose(cplx, real, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_hardy_means_rotation_invariant(p):
+    # f(e^{i psi} z) samples |f| at rotated nodes: the converged means agree
+    c = np.array(_SIGNED)
+    rotated = c * np.exp(1.3j * np.arange(len(c)))
+    us = np.array([0.5, 0.1, 0.0])
+    real, _ = hardy_means_u(AnalyticFunction(c), p, us, rel_tol=1e-12)
+    cplx, _ = hardy_means_u(AnalyticFunction(rotated), p, us, rel_tol=1e-12)
+    assert np.allclose(cplx, real, rtol=1e-12, atol=0)
+
+
+def test_hardy_mean_high_monomials():
+    # M_p(r, z^n) = r^n, also when z^n has a complex coefficient
+    for n in (200, 1000, 5000):
+        for scale in (1.0, 1j):
+            f = AnalyticFunction(scale * np.eye(1, n + 1, n)[0])
+            for p in (1.5, 3.0):
+                assert hardy_mean(f, p, 0.999) == pytest.approx(
+                    0.999 ** n, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_hardy_means_fold_at_node_cap(p):
+    # 1 + z^N with N = 2^18 + 5 exceeds the node cap: folded modulo 2^18,
+    # z^N sampled at the nodes is z^5, a permutation of the nodes, so the
+    # mean is M_p(rho, 1 + z) with rho = (1-u)^N, by Parseval on
+    # (1 + rho z)^(p/2): 2F1(-p/2, -p/2; 1; rho^2)^(1/p)
+    mpmath = pytest.importorskip("mpmath")
+    big = 2 ** 18 + 5
+    u = 1e-7
+    c = np.zeros(big + 1)
+    c[0] = c[big] = 1.0
+    vals, diag = hardy_means_u(AnalyticFunction(c), p, np.array([u]))
+    assert diag["capped"] is True and diag["nodes"] == 2 ** 18
+    with mpmath.workdps(30):
+        rho = (1 - mpmath.mpf(u)) ** big
+        expect = float(mpmath.hyp2f1(-p / 2, -p / 2, 1, rho ** 2) ** (1 / p))
+    assert vals[0] == pytest.approx(expect, rel=1e-12)
+
+
+def test_m_infinity_real_and_complex_paths_agree():
+    f = AnalyticFunction(_SIGNED)
+    us = np.array([0.5, 0.1, 0.0])
+    real, d_real = m_infinity_u(f, us)
+    cplx, d_cplx = m_infinity_u(f * np.exp(0.4j), us)
+    assert "nodes" in d_real and d_real["nodes"] == d_cplx["nodes"]
+    assert np.allclose(cplx, real, rtol=1e-12, atol=0)
+    # grid maxima never exceed the triangle bound sum |a_k| r^k
+    assert np.all(real <= np.polyval(np.abs(_SIGNED)[::-1], 1.0 - us))
+
+
+def test_hardy_means_node_count_pinned():
+    # a COR-HILB-shaped call: the degree-2048 image of a degree-128
+    # polynomial under the classical Hilbert operator, on the 128 radii of
+    # the first eight quadrature levels, at p = 3.  The node sequence must
+    # not grow silently; 16384 is what every earlier engine used.
+    img = apply_classical(random_function(128, 5, dist="unit"), 2048)
+    his = 2.0 ** -np.arange(8)
+    us = (0.75 * his[:, None] + 0.25 * his[:, None] * _NODES[None, :]).ravel()
+    assert len(us) == 128 and img.degree == 2048
+    _, diag = hardy_means_u(img, 3.0, us, rel_tol=1e-6)
+    assert diag["nodes"] == 16384
 
 
 # --------------------------------------------------------------------------

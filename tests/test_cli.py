@@ -113,6 +113,22 @@ def test_verify_json_format(capsys, tmp_path):
     assert obj["scenario"] == "PROP-LIP" and obj["verdict"] == "Comparable"
 
 
+def test_verify_lem_up_json_report(capsys, tmp_path):
+    # the report's case parameters must all be JSON-serializable
+    p = tmp_path / "r.json"
+    code, _ = run(capsys, "verify", "--scenario", "LEM-UP",
+                  "--out", str(p), "--format", "json")
+    assert code == 0
+    obj = json.loads(p.read_text())
+    assert obj["scenario"] == "LEM-UP" and obj["verdict"] == "Comparable"
+
+
+def test_verify_rejects_option_the_scenario_ignores(capsys):
+    # TH-LAC reads a list of weights, so a single --weight is an error
+    assert main(["verify", "--scenario", "TH-LAC", "--weight", "std1"]) == 1
+    assert "weight" in capsys.readouterr().err
+
+
 def test_norms_battery(capsys):
     code, out = run(capsys, "norms", "--f", "poly(1,1)",
                     "--weight", "std(alpha=-0.5)", "--p", "2", "--q", "2")

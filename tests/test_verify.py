@@ -20,6 +20,13 @@ def test_scenario_registry():
         run_scenario("NO-SUCH")
 
 
+def test_unknown_config_key_rejected():
+    with pytest.raises(DomainError, match="bogus"):
+        run_scenario("TH-LAC", {"bogus": 1})
+    with pytest.raises(DomainError, match="window"):
+        run_scenario("TH-COMPACT", {"window": 2.0})
+
+
 def test_ratio_statistics():
     assert ratio_statistics([1.0, 2.0, 4.0]) == (1.0, 4.0, 4.0)
     assert ratio_statistics([3.0]) == (3.0, 3.0, 1.0)
