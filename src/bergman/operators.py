@@ -8,7 +8,10 @@ integrable analytic f by
 which in coefficients reads  c_k = (k+1) b_(k+1) mu_k(f)  with the moments
 mu_k(f) = integral of t^k f(t) dt.  The symbol g(z) = log(1/(1-z)) recovers
 the classical Hilbert operator c_k = sum_n a_n / (n+k+1), and replacing f
-by |f| gives the sublinear companion H~.
+by |f| gives the sublinear companion H~.  The moments and the Hilbert-Schmidt
+sums are products with the Hankel matrices 1/(n+k+1) and 1/(n+k+1)^2, run
+by FFT when large (``_hankel``).  Profiles on the radius are callables of
+u = 1 - t, which stays exact where t rounds to 1.
 
 Well-definedness of H_g on the source space A^p_omega is governed by the
 integrability of tail(r)^(-1/(p-1)) (checked once per OperatorSetting);
@@ -35,8 +38,8 @@ from .quadrature import (_NODES as _GAUSS_NODES, _WEIGHTS as _GAUSS_WEIGHTS,
 from .results import divergent, finite
 from .weights import carleson_mass, condition_99
 
-#: coefficient-chunk size for the exact moment matrix (memory bound)
-_MOMENT_CHUNK = 4096
+#: largest Hankel product N m still summed densely (cheaper than the FFT)
+_HANKEL_DENSE_MAX = 2 ** 16
 
 #: default truncation degree cap for expanded test functions
 _FN_DEGREE_CAP = 2 ** 17
@@ -84,38 +87,58 @@ class OperatorSetting:
 # ---------------------------------------------------------------------------
 # moments
 
+def _hankel(x, h, m):
+    """sum over n of x_n h_(n+k), k < m, for positive h_0..h_(N+m-2).
+
+    Dense when N m <= 2^16; otherwise an FFT correlation of the positive and
+    negative parts of x (real and imaginary), whose nonnegative rows keep
+    the rounding error at the dense sum's own scale sum |x_n| h_(n+k).
+    """
+    n = len(x)
+    if n * m <= _HANKEL_DENSE_MAX:
+        return x @ h[np.add.outer(np.arange(n), np.arange(m))]
+    rows, signs = [], []
+    for part, unit in ((x.real, 1.0), (x.imag, 1j)):
+        for sign in (1.0, -1.0):
+            row = np.maximum(sign * part, 0.0)
+            if np.any(row):
+                rows.append(row)
+                signs.append(sign * unit)
+    if not rows:
+        return np.zeros(m)
+    size = 1 << (n + m - 1).bit_length()
+    spec = np.fft.rfft(np.stack(rows)[:, ::-1], size) * np.fft.rfft(h, size)
+    return np.asarray(signs) @ np.fft.irfft(spec, size)[:, n - 1:n - 1 + m]
+
+
 def moments(f, k_max):
     """mu_k = integral of t^k f(t) dt over (0,1) for k = 0..k_max.
 
-    Coefficient representations are summed exactly as
-    mu_k = sum_n a_n / (n+k+1) (chunked over n to bound memory); pointwise
-    callables fall back to endpoint-adapted quadrature.
+    Coefficient representations give mu_k = sum_n a_n / (n+k+1), a product
+    with the Hilbert matrix (``_hankel``); a pointwise callable is a profile
+    in u = 1 - t and falls back to endpoint-adapted quadrature.
     """
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
-    ks = np.arange(k_max + 1, dtype=float)
     if isinstance(f, AnalyticFunction):
         a = f.coefficients
-        out = np.zeros(k_max + 1, dtype=complex)
-        for lo in range(0, len(a), _MOMENT_CHUNK):
-            hi = min(lo + _MOMENT_CHUNK, len(a))
-            ns = np.arange(lo, hi, dtype=float)
-            out += a[lo:hi] @ (1.0 / (ns[:, None] + ks[None, :] + 1.0))
-        return out if np.any(out.imag) else out.real
+        out = _hankel(a, 1.0 / (np.arange(len(a) + k_max, dtype=float) + 1.0),
+                      k_max + 1)
+        return out if np.any(np.imag(out)) else np.real(out)
     return moments_profile(f, k_max)
 
 
 def moments_profile(phi, k_max, t_min=0.0):
-    """mu_k of a pointwise profile phi on [t_min, 1) by quadrature.
+    """mu_k of a pointwise profile phi(u), u = 1 - t, on [t_min, 1).
 
-    Integrates in u = 1 - t with geometric panels toward the endpoint;
+    Integrates in u with geometric panels toward the endpoint;
     t^k = exp(k log(1-u)) stays accurate for k up to ~2^60.
     """
     ks = np.arange(k_max + 1, dtype=float)
 
     def integrand(u):
         lt = np.log1p(-u)
-        return np.asarray(phi(1.0 - u), dtype=float)[:, None] * \
+        return np.asarray(phi(u), dtype=float)[:, None] * \
             np.exp(np.outer(lt, ks))
 
     vals = integrate_geometric_vec(integrand, 0.0, 1.0 - t_min)
@@ -146,12 +169,10 @@ def apply_classical(f, k_max):
     """Classical Hilbert operator: c_k = sum_n a_n / (n+k+1), exact.
 
     This is H_g for g(z) = log(1/(1-z)), computed without truncating the
-    symbol: (k+1) b_(k+1) = 1 for every k.
+    symbol: (k+1) b_(k+1) = 1 for every k.  A callable f is a profile in
+    u = 1 - t, as for ``moments``.
     """
-    if isinstance(f, AnalyticFunction):
-        c = moments(f, k_max)
-    else:
-        c = moments_profile(f, k_max)
+    c = moments(f, k_max)
     return AnalyticFunction(c if len(np.atleast_1d(c)) else [0.0])
 
 
@@ -178,14 +199,14 @@ def apply_sublinear(f, x):
 def lp_hat_norm(phi, p, w, t_min=0.0):
     """(integral of |phi(t)|^p tail(t) dt)^(1/p) over [t_min, 1).
 
-    The natural restriction of the Bergman norm to profiles on the radius;
-    divergence of the improper integral is returned as a verdict.
+    The natural restriction of the Bergman norm to profiles phi(u),
+    u = 1 - t; divergence of the improper integral is returned as a verdict.
     """
     if p <= 0:
         raise DomainError("lp_hat_norm requires p > 0")
 
     def integrand(u):
-        return np.abs(np.asarray(phi(1.0 - u), dtype=float)) ** p * \
+        return np.abs(np.asarray(phi(u), dtype=float)) ** p * \
             np.asarray(w.tail_u(u), dtype=float)
 
     try:
@@ -199,19 +220,20 @@ def lp_hat_norm(phi, p, w, t_min=0.0):
 def phi_r_profile(w, r, p):
     """The extremal profile phi_r(t) = tail(t)^(-1/(p-1)) for t >= r.
 
-    Returns (phi, r): a vectorized callable vanishing below r, together
-    with its support edge for exact quadrature splitting.
+    Returns (phi, r): a vectorized callable of u = 1 - t (exact where t
+    rounds to 1) vanishing for t < r, together with its support edge r for
+    exact quadrature splitting.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError("phi_r requires 0 <= r < 1")
     e = -1.0 / (p - 1.0)
 
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        vals = np.zeros_like(t)
-        m = t >= r
+    def phi(u):
+        u = np.asarray(u, dtype=float)
+        vals = np.zeros_like(u)
+        m = 1.0 - u >= r
         if np.any(m):
-            vals[m] = np.asarray(w.tail_u(1.0 - t[m]), dtype=float) ** e
+            vals[m] = np.asarray(w.tail_u(u[m]), dtype=float) ** e
         return vals
 
     return phi, r
@@ -272,7 +294,7 @@ def _bergman2_kernel(w):
 
 
 def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0, max_levels=60):
-    """||H(phi)||_{A^2_omega} for a nonnegative profile, truncation-free.
+    """||H(phi)||_{A^2_omega} for a profile phi(u) >= 0, truncation-free.
 
     Uses the bilinear form  ||H(phi)||^2 = integral over [t_min,t_max)^2 of
     phi(t) phi(s) K(ts) dt ds  with the closed moment kernel K, so the full
@@ -293,7 +315,7 @@ def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0, max_levels=60):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         u = mid + half * _GAUSS_NODES
         nodes.append(u)
-        coefs.append(half * _GAUSS_WEIGHTS * np.asarray(phi(1.0 - u), dtype=float))
+        coefs.append(half * _GAUSS_WEIGHTS * np.asarray(phi(u), dtype=float))
         hi = lo
         if lo == u_lo:
             break
@@ -301,9 +323,11 @@ def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0, max_levels=60):
         return 0.0
     u = np.concatenate(nodes)
     c = np.concatenate(coefs)
-    # 1 - ts for t = 1-u, s = 1-v: u + v - uv, exact even when ts rounds to 1
-    one_minus_x = np.add.outer(u, u) - np.outer(u, u)
-    val = float(c @ kernel(one_minus_x) @ c)
+    # 1 - ts for t = 1-u, s = 1-v: u + v - uv, exact even when ts rounds to 1;
+    # the form is symmetric, so each pair of nodes is evaluated once
+    i, j = np.triu_indices(len(u), 1)
+    val = float(c ** 2 @ kernel(u + u - u * u)
+                + 2.0 * (c[i] * c[j]) @ kernel(u[i] + u[j] - u[i] * u[j]))
     return math.sqrt(max(val, 0.0))
 
 
@@ -376,9 +400,9 @@ def test_function_Q(g, rho, setting, k_max=1024):
 
     phi_rho(t) = (M_q(t, g_rho') (1-t)^(1-1/q))^(q/(p-q)) with
     g_rho'(z) = g'(rho z), and Q_rho(z) = integral of phi_rho(t)/(1-tz) dt,
-    returned as (phi callable, Q as AnalyticFunction).  Q_rho dominates a
-    constant multiple of phi_rho on the radius and its Bergman norm is
-    comparable to the hat-norm of phi_rho.
+    returned as (phi callable of u = 1 - t, Q as AnalyticFunction).  Q_rho
+    dominates a constant multiple of phi_rho on the radius and its Bergman
+    norm is comparable to the hat-norm of phi_rho.
     """
     p, q = setting.p, setting.q
     if not q < p:
@@ -389,13 +413,13 @@ def test_function_Q(g, rho, setting, k_max=1024):
     g_rho = AnalyticFunction(gp.coefficients * rho ** np.arange(len(gp.coefficients)))
     e = q / (p - q)
     if g_rho.degree == 0 and g_rho.coefficients[0] == 0:
-        return (lambda t: np.zeros_like(np.asarray(t, dtype=float))), \
+        return (lambda u: np.zeros_like(np.asarray(u, dtype=float))), \
             AnalyticFunction([0.0])
 
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        means, _ = hardy_means_u(g_rho, q, 1.0 - t)
-        return (means * (1.0 - t) ** (1.0 - 1.0 / q)) ** e
+    def phi(u):
+        u = np.asarray(u, dtype=float)
+        means, _ = hardy_means_u(g_rho, q, u)
+        return (means * u ** (1.0 - 1.0 / q)) ** e
 
     mu = moments_profile(phi, k_max)
     return phi, AnalyticFunction(mu)
@@ -446,9 +470,9 @@ def hilbert_schmidt_partial(g, w, K):
     """Partial Hilbert-Schmidt sums S_0..S_K of H_g over the monomial basis.
 
     S_N = sum over n <= N of (1/(2 omega_n)) sum_k (k+1)^2 |b_(k+1)|^2
-    omega_k / (n+k+1)^2; the inner sum is exact (g is a truncation, so k
-    ranges over deg(g) - 1 terms).  Returns the cumulative array, whose
-    convergence or logarithmic growth decides Hilbert-Schmidt membership.
+    omega_k / (n+k+1)^2, a Hankel product over the deg(g) terms of the
+    truncated symbol.  Returns the cumulative array, whose convergence or
+    logarithmic growth decides Hilbert-Schmidt membership.
     """
     if K < 0:
         raise DomainError("K must be nonnegative")
@@ -457,15 +481,8 @@ def hilbert_schmidt_partial(g, w, K):
         return np.zeros(K + 1)
     ks = np.arange(len(b) - 1, dtype=float)
     v = (ks + 1.0) ** 2 * np.abs(b[1:]) ** 2 * w.moments_upto(len(b) - 2)
-    omega_n = w.moments_upto(K)
-    terms = np.empty(K + 1)
-    chunk = max(1, int(2 ** 22 // max(len(v), 1)))
-    for lo in range(0, K + 1, chunk):
-        hi = min(lo + chunk, K + 1)
-        ns = np.arange(lo, hi, dtype=float)
-        terms[lo:hi] = (1.0 / (ns[:, None] + ks[None, :] + 1.0) ** 2) @ v
-    terms /= 2.0 * omega_n
-    return np.cumsum(terms)
+    h = 1.0 / (np.arange(len(v) + K, dtype=float) + 1.0) ** 2
+    return np.cumsum(_hankel(v, h, K + 1) / (2.0 * w.moments_upto(K)))
 
 
 def hs_limit_estimate(partial_sums):

@@ -448,7 +448,7 @@ def _th_gorro(config):
             f = random_function(64, cfg["seed"] + i, dist="unit")
             img = ops.apply_classical(f, 4096)
             num = float(bergman_norm(img, p, w))
-            den = float(ops.lp_hat_norm(lambda t: np.real(f(t)), p, w))
+            den = float(ops.lp_hat_norm(lambda u: np.real(f(1.0 - u)), p, w))
             rep.cases.append(_case("rand%03d" % i,
                                    {"i": i, "family": "random"}, num, den))
         return _finish(rep, window, t0)
@@ -462,7 +462,7 @@ def _th_gorro(config):
         t_top = 1.0 - (1.0 - r) ** 2
         phi, edge = ops.phi_r_profile(w, r, p)
         den_sq = integrate_geometric(
-            lambda u: np.asarray(phi(1.0 - u)) ** p * np.asarray(w.tail_u(u)),
+            lambda u: np.asarray(phi(u)) ** p * np.asarray(w.tail_u(u)),
             (1.0 - r) ** 2, 1.0 - r)
         den = den_sq ** (1.0 / p)
         num = ops.hilbert_norm2_profile(phi, w, t_min=edge, t_max=t_top)

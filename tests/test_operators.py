@@ -1,21 +1,26 @@
 """Hilbert-type operators: moments, matrix action, Hilbert-Schmidt sums."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergman.analytic import AnalyticFunction, dirichlet_norm, random_function
+from bergman import operators
+from bergman.analytic import (AnalyticFunction, dirichlet_norm, log_kernel,
+                              random_function)
 from bergman.errors import DomainError, WellDefinednessError
-from bergman.operators import (OperatorSetting, apply_classical,
-                               apply_generalized, apply_sublinear,
+from bergman.operators import (OperatorSetting, _bergman2_kernel,
+                               apply_classical, apply_generalized,
+                               apply_sublinear, hilbert_norm2_profile,
                                hilbert_schmidt_partial, hs_limit_estimate,
                                lp_hat_norm, moments, moments_profile,
                                operator_norm_lower, phi_r_profile, suma_ratio,
                                zhu_ratio)
 from bergman.operators import test_function_Q as q_test_function
+from bergman.operators import test_function_fN as fn_test_function
 from bergman.decomposition import partition
 
 coeff_lists = st.lists(st.floats(min_value=-2.0, max_value=2.0)
@@ -32,16 +37,64 @@ def test_moments_monomial_exact():
     assert np.allclose(mu, [1.0 / (k + 3) for k in range(7)], rtol=1e-14)
 
 
+def _mu_fsum(a, k):
+    """math.fsum values of mu_k = sum a_n/(n+k+1) and of sum |a_n|/(n+k+1)."""
+    t = np.asarray(a, dtype=complex) / (np.arange(len(a)) + k + 1.0)
+    return (complex(math.fsum(t.real), math.fsum(t.imag)),
+            math.fsum(np.abs(t)))
+
+
+# (60, 999): 60 000 products, summed densely; (129, 2048): 264 321, by FFT
+@pytest.mark.parametrize("n, k_max", [(60, 999), (129, 2048)])
+@pytest.mark.parametrize("kind", ["signed", "complex"])
+def test_moments_against_fsum(n, k_max, kind):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n)
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal(n)
+    mu = moments(AnalyticFunction(a), k_max)
+    assert np.iscomplexobj(mu) == (kind == "complex")
+    for k in (0, 1, k_max // 3, k_max - 1, k_max):
+        ref, cond = _mu_fsum(a, k)
+        assert abs(mu[k] - ref) <= 1e-13 * cond
+
+
+def test_moments_kernel_test_function_against_fsum(w_std_m05):
+    # block 5 of the std(-1/2) partition: (1 - a z)^(-5/2), a = 1 - 1/830,
+    # expanded to degree 16600 as in TH-MAIN-PQ
+    setting = OperatorSetting(2, 2, w_std_m05)
+    f = fn_test_function(setting, 4.0, 5, partition(w_std_m05, 1.0, 2 ** 22))
+    assert f.degree == 16600
+    mu = moments(f, 2047)
+    for k in (0, 1, 700, 2047):
+        ref, cond = _mu_fsum(f.coefficients, k)
+        assert abs(mu[k] - ref) <= 1e-13 * cond
+
+
+# N m = 2^16 - 1 takes the dense sum and 2^16 + 1 (prime) the FFT
+@pytest.mark.parametrize("n, m", [(255, 257), (2 ** 16 + 1, 1)])
+def test_hankel_dense_and_fft_agree(monkeypatch, n, m):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    h = 1.0 / (np.arange(n + m - 1) + 1.0)
+    first = operators._hankel(x, h, m)
+    flip = n * m if n * m > operators._HANKEL_DENSE_MAX else n * m - 1
+    monkeypatch.setattr(operators, "_HANKEL_DENSE_MAX", flip)
+    second = operators._hankel(x, h, m)
+    scale = np.abs(x) @ h[np.add.outer(np.arange(n), np.arange(m))]
+    assert np.all(np.abs(first - second) <= 1e-12 * scale)
+
+
 def test_moments_profile_log_density():
-    # mu_0 of 1/(1 - t/2) is 2 log 2
-    mu = moments_profile(lambda t: 1.0 / (1.0 - 0.5 * np.asarray(t)), 2)
+    # mu_0 of 1/(1 - t/2) = 2/(1 + u) is 2 log 2
+    mu = moments_profile(lambda u: 2.0 / (1.0 + np.asarray(u)), 2)
     assert mu[0] == pytest.approx(2.0 * math.log(2.0), rel=1e-10)
 
 
 def test_moments_profile_agrees_with_coefficients():
     f = AnalyticFunction([1.0, -0.5, 0.25])
     mu_exact = moments(f, 8)
-    mu_quad = moments_profile(lambda t: np.real(f(t)), 8)
+    mu_quad = moments_profile(lambda u: np.real(f(1.0 - np.asarray(u))), 8)
     assert np.allclose(mu_quad, np.real(mu_exact), rtol=1e-9)
 
 
@@ -112,13 +165,14 @@ def test_sublinear_dominates_pointwise():
 
 def test_lp_hat_norm_flat_profile(w_const):
     # phi = 1: integral of tail = integral of (1-t) dt = 1/2
-    val = lp_hat_norm(lambda t: np.ones_like(np.asarray(t)), 2, w_const)
+    val = lp_hat_norm(lambda u: np.ones_like(np.asarray(u)), 2, w_const)
     assert float(val) == pytest.approx(math.sqrt(0.5), rel=1e-11)
 
 
 def test_lp_hat_norm_divergence(w_const):
-    # phi(t) = (1-t)^(-3/2) against tail (1-t): local exponent -2 diverges
-    val = lp_hat_norm(lambda t: (1.0 - np.asarray(t)) ** -1.5, 2, w_const)
+    # phi(t) = (1-t)^(-3/2) = u^(-3/2) against tail (1-t): local exponent -2
+    # diverges
+    val = lp_hat_norm(lambda u: np.asarray(u) ** -1.5, 2, w_const)
     assert val.divergent
     assert val.diagnostics["exponent"] == pytest.approx(2.0, abs=1e-6)
 
@@ -126,13 +180,45 @@ def test_lp_hat_norm_divergence(w_const):
 def test_phi_r_profile_support(w_std_m05):
     phi, edge = phi_r_profile(w_std_m05, 0.5, 2)
     assert edge == 0.5
-    t = np.array([0.1, 0.49, 0.5, 0.9])
-    v = phi(t)
+    u = np.array([0.9, 0.51, 0.5, 0.1])          # t = 0.1, 0.49, 0.5, 0.9
+    v = phi(u)
     assert v[0] == 0.0 and v[1] == 0.0 and v[2] > 0 and v[3] > v[2]
+
+
+def test_hilbert_norm2_profile_flat_weight_zeta3(w_const):
+    # H(1) has coefficients 1/(k+1) and the flat weight 2 omega_k = 1/(k+1),
+    # so ||H(1)||^2 = zeta(3)
+    mpmath = pytest.importorskip("mpmath")
+    val = hilbert_norm2_profile(lambda u: np.ones_like(u), w_const)
+    assert val == pytest.approx(float(mpmath.sqrt(mpmath.zeta(3))), rel=1e-12)
+
+
+def test_phi_r_profile_finite_below_machine_epsilon(w_std_m05):
+    # 1 - 1e-17 rounds to 1, where the tail vanishes; u itself does not
+    phi, _ = phi_r_profile(w_std_m05, 0.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = phi(np.array([1e-17]))
+    assert np.isfinite(v[0])
+    expect = 1.0 / float(w_std_m05.tail_u(1e-17))
+    assert v[0] == pytest.approx(expect, rel=1e-14)
 
 
 # --------------------------------------------------------------------------
 # Hilbert-Schmidt sums
+
+def test_hs_partial_log_symbol_against_fsum(w_std_m05):
+    # log(1/(1-z)) has (k+1)^2 |b_(k+1)|^2 = 1, so the inner sums are
+    # sum_k omega_k / (n+k+1)^2 over its 8192 terms
+    K = 4000
+    s = hilbert_schmidt_partial(log_kernel(8192), w_std_m05, K)
+    om = w_std_m05.moments_upto(8191)
+    ks = np.arange(8192, dtype=float)
+    terms = [math.fsum((om / (n + ks + 1.0) ** 2).tolist()) / (2.0 * om[n])
+             for n in range(K + 1)]
+    for n in (0, 1000, 4000):
+        assert s[n] == pytest.approx(math.fsum(terms[:n + 1]), rel=1e-13)
+
 
 def test_hs_partial_monotone(w_std_m05):
     g = AnalyticFunction([0.0, 0.0, 1.0])
@@ -199,6 +285,32 @@ def test_operator_norm_lower_positive(w_std_m05):
     g = AnalyticFunction([0.0, 1.0])
     lb = operator_norm_lower(g, setting, part, n_max=3)
     assert 0.0 < lb < 100.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5],
+                         ids=["const", "std1", "std-0.5"])
+def test_bergman2_kernel_mpmath(alpha, w_const, w_std_1, w_std_m05):
+    # K(x) = k0 2F1(1,1;alpha+2;x) with k0 = 2 omega_0, taken in 1 - x; the
+    # working precision keeps x = 1 - (1 - x) exact
+    mpmath = pytest.importorskip("mpmath")
+    w = {0.0: w_const, 1.0: w_std_1, -0.5: w_std_m05}[alpha]
+    kernel = _bergman2_kernel(w)
+    for omx in (1e-300, 1e-17, 1e-8, 0.3, 0.9):
+        with mpmath.workdps(30 + max(0, -math.floor(math.log10(omx)))):
+            a1 = mpmath.mpf(alpha) + 1
+            k0 = 2 / (a1 * mpmath.beta(mpmath.mpf(1) / 2, a1))
+            x = 1 - mpmath.mpf(omx)
+            if omx < 1e-100 and alpha != -0.5:
+                # at 330 digits mpmath's logarithmic case (integer c - a - b)
+                # spends seconds on set-up; 2F1(1,1;2;x) and 2F1(1,1;3;x)
+                # have elementary forms
+                lg = mpmath.log(1 - x)
+                expect = k0 * (-lg / x if alpha == 0.0
+                               else 2 * ((1 - x) * lg + x) / x ** 2)
+            else:
+                expect = k0 * mpmath.hyp2f1(1, 1, alpha + 2, x)
+        got = float(kernel(np.array([omx]))[0])
+        assert got == pytest.approx(float(expect), rel=1e-12), omx
 
 
 def test_moments_rejects_negative_kmax():

@@ -27,6 +27,16 @@ def test_unknown_config_key_rejected():
         run_scenario("TH-COMPACT", {"window": 2.0})
 
 
+def test_gorro_extremal_cases_finite():
+    # the phi_r profiles reach u ~ 2^-60, where 1 - u rounds to 1
+    rep = run_scenario("TH-GORRO")
+    phis = [c for c in rep.cases if c["case_id"].startswith("phi-j")]
+    assert [c["case_id"] for c in phis] == ["phi-j%02d" % j for j in range(13)]
+    assert all(math.isfinite(c["lhs"]) and math.isfinite(c["rhs"])
+               and math.isfinite(c["ratio"]) for c in phis)
+    assert rep.verdict == "Comparable"
+
+
 def test_ratio_statistics():
     assert ratio_statistics([1.0, 2.0, 4.0]) == (1.0, 4.0, 4.0)
     assert ratio_statistics([3.0]) == (3.0, 3.0, 1.0)
