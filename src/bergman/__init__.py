@@ -8,7 +8,7 @@ Subpackages by theme:
   weighted radial norms;
 * :mod:`bergman.decomposition` — weight-adapted block partitions,
   decomposition norms, lacunary-series criteria;
-* :mod:`bergman.operators` — generalized/classical/sublinear Hilbert
+* :mod:`bergman.operators` — generalized and classical Hilbert
   operators, operator-norm estimates, Hilbert-Schmidt sums;
 * :mod:`bergman.verify` — theorem-level bounded-ratio scenarios;
 * :mod:`bergman.cli` — the ``bergman`` command-line frontend.
@@ -18,15 +18,13 @@ from .analytic import (AnalyticFunction, bergman_norm, dirichlet_norm,
                        hardy_mean, lambda_norm, mixed_norm, mixed_norm_sup,
                        modulus_of_continuity, parse_function_spec)
 from .decomposition import (BlockPartition, block, decomposition_norm,
-                            decomposition_norm_gamma, decomposition_norm_sup,
-                            eta_gamma_series, is_omega_lacunary,
-                            lacunary_norm, lacunary_sup_test, partition,
-                            positive_series_norm, radii)
+                            decomposition_norm_gamma, is_omega_lacunary,
+                            lacunary_norm, lacunary_sup_test, partition, radii)
 from .errors import (DivergentMassError, DomainError, QuadratureDivergence,
                      WellDefinednessError)
 from .operators import (OperatorSetting, apply_classical, apply_generalized,
-                        apply_sublinear, hilbert_schmidt_partial, lp_hat_norm,
-                        moments, operator_norm_lower, suma_ratio)
+                        hilbert_schmidt_partial, lp_hat_norm, moments,
+                        operator_norm_lower, suma_ratio)
 from .results import NormValue
 from .verify import ScenarioReport, run_scenario, scenario_ids, write_report
 from .weights import (RadialWeight, classify, condition_99, muckenhoupt,
@@ -38,14 +36,14 @@ __all__ = [
     "AnalyticFunction", "BlockPartition", "DivergentMassError", "DomainError",
     "NormValue", "OperatorSetting", "QuadratureDivergence", "RadialWeight",
     "ScenarioReport", "WellDefinednessError", "apply_classical",
-    "apply_generalized", "apply_sublinear", "bergman_norm", "block",
+    "apply_generalized", "bergman_norm", "block",
     "classify", "condition_99", "decomposition_norm",
-    "decomposition_norm_gamma", "decomposition_norm_sup", "dirichlet_norm",
-    "eta_gamma_series", "hardy_mean", "hilbert_schmidt_partial",
+    "decomposition_norm_gamma", "dirichlet_norm",
+    "hardy_mean", "hilbert_schmidt_partial",
     "is_omega_lacunary", "lacunary_norm", "lacunary_sup_test", "lambda_norm",
     "lp_hat_norm", "mixed_norm", "mixed_norm_sup", "modulus_of_continuity",
     "moments", "muckenhoupt", "operator_norm_lower",
     "parse_function_spec", "parse_weight", "partition",
-    "positive_series_norm", "radii", "run_scenario", "scenario_ids",
+    "radii", "run_scenario", "scenario_ids",
     "suma_ratio", "tail", "write_report",
 ]

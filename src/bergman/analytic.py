@@ -22,11 +22,12 @@ makes mixed norms against such weights converge at all.
 
 import cmath
 import math
-import re
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from . import spec
+from .spec import REQUIRED
 from .errors import DomainError
 from .quadrature import _NODES, _WEIGHTS, geometric_u_grid
 from .results import NormValue, divergent, finite
@@ -46,7 +47,6 @@ __all__ = [
     "partial_sum",
     "hardy_norm_poly",
     "modulus_of_continuity",
-    "differentiate",
     "weighted_radial_integral",
 ]
 
@@ -102,11 +102,6 @@ class AnalyticFunction:
         return "AnalyticFunction(degree=%d%s)" % (self.degree, tag)
 
 
-def differentiate(f):
-    """Exact coefficient shift-and-scale derivative."""
-    return f.derivative()
-
-
 def partial_sum(f, n1, n2):
     """S_{n1,n2} f = sum of a_k z^k over n1 <= k < n2, exact slice."""
     if not 0 <= n1 < n2:
@@ -116,63 +111,6 @@ def partial_sum(f, n1, n2):
     if n1 < hi:
         c[n1:hi] = f.coefficients[n1:hi]
     return AnalyticFunction(c if len(c) else [0.0])
-
-
-# ---------------------------------------------------------------------------
-# function-spec grammar
-
-_FSPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$", re.S)
-
-
-def parse_function_spec(spec):
-    """Parse a function spec string.
-
-    Grammar:
-      poly(c0,c1,...)          explicit coefficients
-      logk(deg=2048)           truncation of log(1/(1-z)) = sum z^k / k
-      binom(s=0.5,deg=2048)    truncation of (1-z)^(-s)
-      rand(deg=512,seed=7,dist=unit)   seeded random coefficients,
-                               dist in {unit: U[0,1], sym: U[-1,1], normal}
-    """
-    m = _FSPEC_RE.match(spec)
-    if not m:
-        raise DomainError("function spec %r does not match name(...)" % spec)
-    name, body = m.group(1), m.group(2).strip()
-    if name == "poly":
-        if not body:
-            raise DomainError("poly() needs at least one coefficient")
-        return AnalyticFunction([complex(tok) for tok in body.split(",")],
-                                label=spec.strip())
-    kv = {}
-    if body:
-        for part in body.split(","):
-            if "=" not in part:
-                raise DomainError("malformed function parameter %r" % part)
-            k, v = part.split("=", 1)
-            kv[k.strip()] = v.strip()
-    if name == "logk":
-        deg = int(float(kv.pop("deg", 2048)))
-        _no_extra(kv, spec)
-        return log_kernel(deg)
-    if name == "binom":
-        if "s" not in kv:
-            raise DomainError("binom spec needs s=")
-        s = float(kv.pop("s"))
-        deg = int(float(kv.pop("deg", 2048)))
-        _no_extra(kv, spec)
-        return binomial_kernel(s, deg)
-    if name == "rand":
-        deg = int(float(kv.pop("deg", 512)))
-        seed = int(float(kv.pop("seed", 0)))
-        dist = kv.pop("dist", "unit")
-        _no_extra(kv, spec)
-        return random_function(deg, seed, dist)
-    raise DomainError("unknown function family %r" % name)
-
-
-def _no_extra(kv, spec):
-    if kv:
-        raise DomainError("unexpected parameters %r in %r" % (sorted(kv), spec))
 
 
 def log_kernel(deg):
@@ -186,6 +124,8 @@ def log_kernel(deg):
 
 def binomial_kernel(s, deg):
     """Truncation of (1-z)^(-s); coefficients Gamma(k+s)/(Gamma(s) k!)."""
+    if not s > 0:
+        raise DomainError("binom needs s > 0")
     from scipy.special import gammaln
     k = np.arange(deg + 1)
     c = np.exp(gammaln(k + s) - gammaln(s) - gammaln(k + 1.0))
@@ -203,6 +143,35 @@ def random_function(deg, seed, dist="unit"):
     else:
         raise DomainError("unknown coefficient distribution %r" % dist)
     return AnalyticFunction(c, label="rand(deg=%d,seed=%d,dist=%s)" % (deg, seed, dist))
+
+
+# ---------------------------------------------------------------------------
+# function-spec grammar
+
+#: function families of the spec grammar (see spec.py)
+_FUNCTION_FAMILIES = {
+    "poly": (AnalyticFunction, spec.COMPLEX),
+    "logk": (log_kernel, {"deg": (int, 2048)}),
+    "binom": (binomial_kernel, {"s": (float, REQUIRED), "deg": (int, 2048)}),
+    "rand": (random_function, {"deg": (int, 512), "seed": (int, 0),
+                               "dist": (str, "unit")}),
+}
+
+
+def parse_function_spec(text):
+    """Parse a function spec string.
+
+    Grammar:
+      poly(c0,c1,...)          explicit coefficients
+      logk(deg=2048)           truncation of log(1/(1-z)) = sum z^k / k
+      binom(s=0.5,deg=2048)    truncation of (1-z)^(-s)
+      rand(deg=512,seed=7,dist=unit)   seeded random coefficients,
+                               dist in {unit: U[0,1], sym: U[-1,1], normal}
+    """
+    f = spec.parse(text, _FUNCTION_FAMILIES)
+    if f.label is None:
+        f.label = text.strip()        # poly: the spec is the label
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ with weighted l^q sums of the Hardy norms of its blocks,
 
     ||f||_(p,q,omega) ~ (sum_n 2^(-n alpha) ||Delta_n f||_{H^p}^q)^(1/q),
 
-together with sup variants, a gamma-weighted variant for derivatives, a
-block growth criterion for membership in the Lipschitz-type symbol class,
-omega-lacunary gap tests, and two auxiliary positive-series bounds
-(the eta_gamma majorant and the positive-coefficient norm comparison).
+together with a gamma-weighted variant for derivatives, a block growth
+criterion for membership in the Lipschitz-type symbol class and
+omega-lacunary gap tests.
 
 All radii are stored and solved in the variable u = 1 - r, which keeps
 full relative precision as r_n crowds toward 1 (for rapidly increasing
@@ -29,7 +28,7 @@ import warnings
 
 import numpy as np
 
-from .analytic import AnalyticFunction, hardy_norm_poly, weighted_radial_integral
+from .analytic import AnalyticFunction, hardy_norm_poly
 from .errors import DomainError
 from .results import NormValue, finite
 
@@ -282,18 +281,6 @@ def decomposition_norm(f, p, q, part):
                   blocks=part.block_count)
 
 
-def decomposition_norm_sup(f, p, beta, part):
-    """sup_n 2^(-n alpha beta) ||Delta_n f||_{H^p} — the block sup norm."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    norms = _block_hardy_norms(f, p, part)
-    ns = np.arange(part.block_count)
-    vals = 2.0 ** (-ns * part.alpha * beta) * norms
-    n_star = int(np.argmax(vals)) if len(vals) else 0
-    return finite(float(np.max(vals)) if len(vals) else 0.0,
-                  method="sup-grid", argmax_block=n_star)
-
-
 def decomposition_norm_gamma(g, q, p, gamma, part):
     """sum_n 2^(-n) ||Delta_n g||_{H^q}^p / M_n^gamma, for alpha = 1 partitions.
 
@@ -406,73 +393,3 @@ def lacunary_sup_test(coeffs, exponents, w, beta, slope_tol=0.2):
     half = nz[len(nz) // 2:]
     slope = np.polyfit(np.log(half + 1.0), np.log(b[half]), 1)[0]
     return bool(slope <= slope_tol), margin
-
-
-# ---------------------------------------------------------------------------
-# auxiliary positive series
-
-def eta_gamma_series(part, gamma, r):
-    """eta_gamma(r) = sum_n 2^(n gamma) r^(M_n), summed to relative 1e-16.
-
-    Majorized by a constant times tail(r)^(-gamma/alpha); the partition's
-    marks are continued past the stored blocks as floats, so the series is
-    summed to full precision for every r < 1.
-    """
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    if not 0 <= r < 1:
-        raise DomainError("r must lie in [0, 1)")
-    if r == 0:
-        return 0.0                               # every mark is >= 1
-    log_r = math.log(r)
-    total = 0.0
-    n = 0
-    while True:
-        m = part.mark_float(n)
-        e = m * log_r
-        term = 0.0 if e < -745.0 else 2.0 ** (n * gamma) * math.exp(e)
-        total += term
-        n += 1
-        if n > 4 and term <= 1e-16 * total:
-            break
-        if n > 100000:
-            break
-    return total
-
-
-def positive_series_norm(t, p, alpha, w, max_degree_hint=None):
-    """Both sides of the positive-coefficient norm comparison.
-
-    For the lacunary positive series f(r) = sum_n t_n r^(M_n) built on the
-    (omega, alpha) marks, returns the pair
-
-        (sum_n 2^(-n alpha) t_n^p,  integral of f(r)^p omega(r) dr).
-
-    Valid for all p > 0 including p <= 1.  The integral is evaluated by
-    endpoint-adapted quadrature on the truncated series.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("coefficients t_n must be nonnegative")
-    if p <= 0:
-        raise DomainError("p must be positive")
-    w = _require_normalized(w)
-    part = partition(w, alpha, 0)           # marks fetched lazily below
-    ms = np.array([part.mark_float(n) for n in range(len(t))])
-    usable = np.isfinite(ms) & (t > 0)
-    ns = np.arange(len(t))
-    block_sum = float(np.sum(np.where(usable, 2.0 ** (-ns * alpha) * t ** p, 0.0)))
-    if not np.any(usable):
-        return block_sum, 0.0
-    t_use = t[usable]
-    ms_f = ms[usable]
-
-    def gfn(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
-            lr = np.log1p(-u)
-        vals = t_use[None, :] * np.exp(np.outer(lr, ms_f))
-        return np.sum(vals, axis=1) ** p
-
-    integral, _ = weighted_radial_integral(gfn, w)
-    return block_sum, integral

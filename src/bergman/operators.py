@@ -7,11 +7,10 @@ integrable analytic f by
 
 which in coefficients reads  c_k = (k+1) b_(k+1) mu_k(f)  with the moments
 mu_k(f) = integral of t^k f(t) dt.  The symbol g(z) = log(1/(1-z)) recovers
-the classical Hilbert operator c_k = sum_n a_n / (n+k+1), and replacing f
-by |f| gives the sublinear companion H~.  The moments and the Hilbert-Schmidt
-sums are products with the Hankel matrices 1/(n+k+1) and 1/(n+k+1)^2, run
-by FFT when large (``_hankel``).  Profiles on the radius are callables of
-u = 1 - t, which stays exact where t rounds to 1.
+the classical Hilbert operator c_k = sum_n a_n / (n+k+1).  The moments and
+the Hilbert-Schmidt sums are products with the Hankel matrices 1/(n+k+1)
+and 1/(n+k+1)^2, run by FFT when large (``_hankel``).  Profiles on the
+radius are callables of u = 1 - t, which stays exact where t rounds to 1.
 
 Well-definedness of H_g on the source space A^p_omega is governed by the
 integrability of tail(r)^(-1/(p-1)) (checked once per OperatorSetting);
@@ -33,8 +32,7 @@ from scipy.special import gammaln, hyp2f1
 from .analytic import AnalyticFunction, bergman_norm, hardy_means_u
 from .errors import DomainError, WellDefinednessError
 from .quadrature import (_NODES as _GAUSS_NODES, _WEIGHTS as _GAUSS_WEIGHTS,
-                         geometric_u_grid, integrate_geometric,
-                         integrate_geometric_vec)
+                         integrate_geometric, integrate_geometric_vec)
 from .results import divergent, finite
 from .weights import carleson_mass, condition_99
 
@@ -174,23 +172,6 @@ def apply_classical(f, k_max):
     """
     c = moments(f, k_max)
     return AnalyticFunction(c if len(np.atleast_1d(c)) else [0.0])
-
-
-def apply_sublinear(f, x):
-    """H~(f)(x) = integral of |f(t)| / (1 - t x) dt at a real point x.
-
-    For f with nonnegative coefficients this equals the classical operator
-    evaluated at x; in general it dominates it (triangle inequality).
-    """
-    if not 0.0 <= x < 1.0:
-        raise DomainError("sublinear operator evaluated at real x in [0, 1)")
-    fn = f if not isinstance(f, AnalyticFunction) else (lambda t: f(t))
-
-    def integrand(u):
-        t = 1.0 - u
-        return np.abs(fn(t)) / (1.0 - t * x)
-
-    return float(integrate_geometric(integrand, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +314,6 @@ def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0, max_levels=60):
 
 # ---------------------------------------------------------------------------
 # test-function families
-
-def zhu_ratio(w, gamma, a_grid=None):
-    """Stability ratio of the kernel-mass comparison at exponent gamma.
-
-    Computes  integral over D of omega(z) |1 - a z|^(-(gamma+1)) dA(z)
-    divided by  omega(S(a)) / (1-a)^(gamma+1)  on a grid of a and returns
-    (max ratio / min ratio).  A ratio close to 1 across the grid certifies
-    that gamma is large enough for the kernel test functions.
-    """
-    if a_grid is None:
-        a_grid = 1.0 - geometric_u_grid(10, 1)[1:]
-    s = 0.5 * (gamma + 1.0)
-    ratios = []
-    for a in a_grid:
-        def integrand(u, a=a):
-            rr = 1.0 - u
-            return rr * np.asarray(w.density_u(u), dtype=float) * \
-                hyp2f1(s, s, 1.0, (a * rr) ** 2)
-        lhs = 2.0 * integrate_geometric(integrand, 0.0, 1.0,
-                                        adaptive=(w.family == "osc"))
-        rhs = carleson_mass(w, a) / (1.0 - a) ** (gamma + 1.0)
-        ratios.append(lhs / rhs)
-    return float(max(ratios) / min(ratios))
-
 
 def test_function_fN(setting, gamma, n, part):
     """Normalized kernel-type test function attached to block n.

@@ -360,32 +360,6 @@ def _th_lac(config):
     return _finish(rep, window, t0)
 
 
-def separating_example_growth(w, q_coeff, q_norm, n_counts=(12, 24, 36)):
-    """Truncated norms of sum_n 2^(n/q_coeff) z^(M_n) in the q_norm space.
-
-    Returns the list of mixed-norm q_norm-th powers at increasing
-    truncation length; stabilization means membership, steady growth means
-    the function escapes the space.  Evaluated sparsely (the exponents are
-    the alpha = 1 marks, up to 2^36), via the Parseval profile.
-    """
-    part = dec.partition(w, 1.0, 0)
-    values = []
-    for count in n_counts:
-        ms = np.array([part.mark_float(n) for n in range(count)])
-        amps = 4.0 ** (np.arange(count) / q_coeff)      # |a_n|^2
-
-        def gfn(u):
-            u = np.asarray(u, dtype=float)
-            with np.errstate(divide="ignore"):
-                lr = np.log1p(-u)
-            m2 = np.exp(np.outer(lr, 2.0 * ms)) @ amps
-            return m2 ** (q_norm / 2.0)
-
-        val, _ = weighted_radial_integral(gfn, w)
-        values.append(val)
-    return values
-
-
 def _th_lacsup(config):
     t0 = time.monotonic()
     cfg = _config(config, {"weights": ["const", "logpow2"],

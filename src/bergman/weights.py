@@ -17,11 +17,12 @@ Weights are immutable; every operation here is pure.
 """
 
 import math
-import re
 
 import numpy as np
 from scipy import special
 
+from . import spec
+from .spec import REQUIRED
 from .errors import DivergentMassError, DomainError
 from .quadrature import (
     adaptive_panel,
@@ -80,6 +81,8 @@ class RadialWeight:
         self._moment_closed = moment_closed
         self._moment_plain_closed = moment_plain_closed
         self.scale = float(scale)
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise DomainError("weight scale must be finite and positive")
         self._tail_cache = {}
         self._moment_cache = {}
         if mass is None:
@@ -150,8 +153,6 @@ class RadialWeight:
     # -- derived weights ----------------------------------------------------
 
     def scaled(self, c):
-        if c <= 0:
-            raise DomainError("scale factor must be positive")
         return RadialWeight(self.family, self.params, self._density_u,
                             tail_u=self._tail_u, mass=self._mass,
                             scale=self.scale * c,
@@ -283,8 +284,6 @@ def _integrate_endpoint(f_u, u0, f_log=None):
 
 
 def const_weight(c=1.0):
-    if c <= 0:
-        raise DomainError("const weight needs c > 0")
     return RadialWeight(
         "const", {"c": c},
         density_u=lambda u: np.ones_like(u),
@@ -559,20 +558,25 @@ def derived_weight(density_u, family="derived", params=None, tail_u=None,
 # ---------------------------------------------------------------------------
 # weight-spec grammar:  family(key=value,...)
 
-_SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$", re.S)
+def _csv_table_weight(path):
+    r, omega = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
+    return table_weight(r, omega)
 
-_FAMILIES = {
-    "const": (const_weight, {"c": 1.0}),
-    "std": (std_weight, {"alpha": None}),
-    "pow": (pow_weight, {"beta": None}),
-    "logpow": (logpow_weight, {"beta": None}),
-    "logprod": (logprod_weight, {"alpha": None, "n": 1}),
+
+#: weight families of the spec grammar (see spec.py)
+_WEIGHT_FAMILIES = {
+    "const": (const_weight, {"c": (float, 1.0)}),
+    "std": (std_weight, {"alpha": (float, REQUIRED)}),
+    "pow": (pow_weight, {"beta": (float, REQUIRED)}),
+    "logpow": (logpow_weight, {"beta": (float, REQUIRED)}),
+    "logprod": (lambda alpha, n: logprod_weight(alpha, n),
+                {"alpha": (float, REQUIRED), "n": (int, 1)}),
     "osc": (osc_weight, {}),
-    "table": (None, {"path": None}),
+    "table": (_csv_table_weight, {"path": (str, REQUIRED)}),
 }
 
 
-def parse_weight(spec):
+def parse_weight(text):
     """Parse a weight spec string such as ``std(alpha=-0.5)``.
 
     Grammar: family(key=value,...); families const, std, logpow, logprod,
@@ -581,75 +585,10 @@ def parse_weight(spec):
     ``*SCALE`` multiplies the density by a positive constant.
     """
     scale = 1.0
-    if ")" in spec and "*" in spec.rsplit(")", 1)[1]:
-        body_part, scale_part = spec.rsplit("*", 1)
-        try:
-            scale = float(scale_part)
-        except ValueError:
-            raise DomainError("malformed weight scale %r" % scale_part)
-        if not scale > 0.0:
-            raise DomainError("weight scale must be positive")
-        spec = body_part
-    m = _SPEC_RE.match(spec)
-    if not m:
-        raise DomainError("weight spec %r does not match family(key=value,...)" % spec)
-    family, body = m.group(1), m.group(2).strip()
-    if family not in _FAMILIES:
-        raise DomainError("unknown weight family %r" % family)
-    kv = {}
-    if body:
-        for part in body.split(","):
-            if "=" not in part:
-                raise DomainError("malformed weight parameter %r" % part)
-            k, v = part.split("=", 1)
-            kv[k.strip()] = v.strip()
-
-    if family == "table":
-        path = kv.pop("path", None)
-        if path is None or kv:
-            raise DomainError("table weight takes exactly path=<csv>")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        w = table_weight(data[:, 0], data[:, 1])
-    elif family == "const":
-        c = float(kv.pop("c", 1.0))
-        _extra(kv)
-        w = const_weight(c)
-    elif family == "std":
-        alpha = _need_float(kv, "alpha", spec)
-        _extra(kv)
-        w = std_weight(alpha)
-    elif family == "pow":
-        beta = _need_float(kv, "beta", spec)
-        _extra(kv)
-        w = pow_weight(beta)
-    elif family == "logpow":
-        beta = _need_float(kv, "beta", spec)
-        _extra(kv)
-        w = logpow_weight(beta)
-    elif family == "logprod":
-        alpha = _need_float(kv, "alpha", spec)
-        n = int(float(kv.pop("n", 1)))
-        _extra(kv)
-        w = logprod_weight(alpha, n)
-    elif family == "osc":
-        if kv:
-            raise DomainError("osc weight takes no parameters")
-        w = osc_weight()
-    else:   # pragma: no cover
-        raise DomainError("unknown weight family %r" % family)
-    return w if scale == 1.0 else w.scaled(scale)
-
-
-def _need_float(kv, key, spec):
-    if key not in kv:
-        raise DomainError("weight spec %r is missing %s=" % (spec, key))
-    return float(kv.pop(key))
-
-
-def _extra(kv):
-    if kv:
-        raise DomainError("unexpected weight parameters %r" % sorted(kv))
-    return False
+    if ")" in text and "*" in text.rsplit(")", 1)[1]:
+        text, scale_part = text.rsplit("*", 1)
+        scale = spec.value(float, scale_part.strip(), "scale")
+    return spec.parse(text, _WEIGHT_FAMILIES).scaled(scale)
 
 
 # ---------------------------------------------------------------------------

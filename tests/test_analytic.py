@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman.analytic import (AnalyticFunction, bergman_norm, binomial_kernel,
-                              differentiate, dirichlet_norm, hardy_mean,
-                              hardy_means_u, hardy_norm_poly, log_kernel,
-                              m_infinity, m_infinity_u, mixed_norm,
-                              mixed_norm_sup, modulus_of_continuity,
-                              parse_function_spec, partial_sum,
-                              random_function)
+                              dirichlet_norm, hardy_mean, hardy_means_u,
+                              hardy_norm_poly, log_kernel, m_infinity,
+                              m_infinity_u, mixed_norm, mixed_norm_sup,
+                              modulus_of_continuity, parse_function_spec,
+                              partial_sum, random_function)
 from bergman.errors import DomainError
 from bergman.operators import apply_classical
 from bergman.quadrature import _NODES
@@ -240,7 +239,7 @@ def test_modulus_subadditive(coeffs, h1, h2):
 
 def test_differentiate_shifts_coefficients():
     f = AnalyticFunction([5.0, 1.0, 2.0, 3.0])
-    g = differentiate(f)
+    g = f.derivative()
     assert np.allclose(g.coefficients, [1.0, 4.0, 9.0])
 
 

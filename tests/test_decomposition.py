@@ -11,10 +11,8 @@ from bergman.analytic import AnalyticFunction, bergman_norm, log_kernel
 from bergman.decomposition import (block, block_criterion_lambda,
                                    decomposition_norm,
                                    decomposition_norm_gamma,
-                                   decomposition_norm_sup, eta_gamma_series,
                                    is_omega_lacunary, lacunary_norm,
-                                   lacunary_sup_test, partition,
-                                   positive_series_norm, radii)
+                                   lacunary_sup_test, partition, radii)
 from bergman.errors import DomainError
 from bergman.weights import moment_radial, pow_weight
 
@@ -72,8 +70,6 @@ def test_decomposition_norm_monomial(part_dyadic):
         0.5, rel=1e-12)
     assert float(decomposition_norm_gamma(z4, 2, 2, 1.0, part_dyadic)) == \
         pytest.approx(1.0 / 16.0, rel=1e-12)
-    assert float(decomposition_norm_sup(z4, 2, 1.0, part_dyadic)) == \
-        pytest.approx(0.25, rel=1e-12)
 
 
 def test_blocks_reassemble(part_dyadic):
@@ -140,42 +136,3 @@ def test_lacunary_sup_test_separates(w_const):
     ok, _ = lacunary_sup_test(base * (np.arange(14) + 1.0) ** 2, exps,
                               w_const, 0.5)
     assert not ok
-
-
-# --------------------------------------------------------------------------
-# positive series
-
-def test_eta_gamma_series_values(part_dyadic):
-    # at r = 0 every term r^(M_n) vanishes (all marks are >= 1)
-    assert eta_gamma_series(part_dyadic, 1.0, 0.0) == 0.0
-    # majorized by tail(r)^(-gamma/alpha) up to a constant
-    for j in range(2, 12):
-        r = 1.0 - 2.0 ** -j
-        val = eta_gamma_series(part_dyadic, 1.0, r)
-        assert 0.0 < val <= 8.0 * 2.0 ** j
-
-
-def test_positive_series_norm_monomial(w_const):
-    block_sum, integral = positive_series_norm([1.0, 0.0, 0.0], 2, 1.0,
-                                               w_const)
-    assert block_sum == pytest.approx(1.0, rel=1e-13)
-    assert integral == pytest.approx(1.0 / 3.0, rel=1e-9)
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0)
-                .map(lambda x: round(x, 3)), min_size=1, max_size=10))
-@settings(max_examples=20, deadline=None)
-def test_positive_series_comparable(ts):
-    # both sides vanish together, and the ratio stays within a fixed window
-    w = pow_weight(1.0).normalized()
-    block_sum, integral = positive_series_norm(ts, 2, 1.0, w)
-    if block_sum == 0:
-        assert integral == 0
-    else:
-        ratio = integral / block_sum
-        assert 1e-3 < ratio < 1e3
-
-
-def test_positive_series_rejects_negative(w_const):
-    with pytest.raises(DomainError):
-        positive_series_norm([1.0, -1.0], 2, 1.0, w_const)

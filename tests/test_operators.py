@@ -14,11 +14,10 @@ from bergman.analytic import (AnalyticFunction, dirichlet_norm, log_kernel,
 from bergman.errors import DomainError, WellDefinednessError
 from bergman.operators import (OperatorSetting, _bergman2_kernel,
                                apply_classical, apply_generalized,
-                               apply_sublinear, hilbert_norm2_profile,
-                               hilbert_schmidt_partial, hs_limit_estimate,
-                               lp_hat_norm, moments, moments_profile,
-                               operator_norm_lower, phi_r_profile, suma_ratio,
-                               zhu_ratio)
+                               hilbert_norm2_profile, hilbert_schmidt_partial,
+                               hs_limit_estimate, lp_hat_norm, moments,
+                               moments_profile, operator_norm_lower,
+                               phi_r_profile, suma_ratio)
 from bergman.operators import test_function_Q as q_test_function
 from bergman.operators import test_function_fN as fn_test_function
 from bergman.decomposition import partition
@@ -149,17 +148,6 @@ def test_well_definedness_refusal(w_const, w_std_m05):
     OperatorSetting(2, 2, w_std_m05).require_well_defined()
 
 
-def test_sublinear_dominates_pointwise():
-    f = AnalyticFunction([1.0, -1.0, 0.5])
-    g = AnalyticFunction(np.abs(f.coefficients))
-    x = 0.5
-    img = apply_classical(g, 256)
-    assert apply_sublinear(f, x) >= abs(apply_classical(f, 256)(x)) - 1e-12
-    # equality for nonnegative coefficients
-    assert apply_sublinear(g, x) == pytest.approx(float(np.real(img(x))),
-                                                  rel=1e-8)
-
-
 # --------------------------------------------------------------------------
 # profile norms
 
@@ -265,10 +253,6 @@ def test_suma_ratio_verdicts(w_std_m05, w_const):
 
 # --------------------------------------------------------------------------
 # test functions and lower bounds
-
-def test_zhu_ratio_stable(w_std_m05):
-    assert zhu_ratio(w_std_m05, 3.0) < 4.0
-
 
 def test_q_test_function_shape(w_std_m05):
     # the Q family exists only in the q < p regime

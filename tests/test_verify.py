@@ -8,7 +8,7 @@ import pytest
 from bergman.errors import DomainError
 from bergman.verify import (corpus_functions, default_windows, named_weight,
                             ratio_statistics, run_scenario, scenario_ids,
-                            separating_example_growth, write_report)
+                            write_report)
 
 
 def test_scenario_registry():
@@ -105,15 +105,6 @@ def test_th_gorro_const_divergence_consistent():
     rep = run_scenario("TH-GORRO", {"weight": "const"})
     assert rep.verdict == "Divergence-consistent"
     assert rep.diagnostics["muckenhoupt"] == "divergent"
-
-
-def test_separating_example_growth_directions():
-    w = named_weight("const")
-    stable = separating_example_growth(w, 3.0, 2.0)
-    growing = separating_example_growth(w, 3.0, 3.0)
-    # truncation growth dies out in the smaller space, persists in the larger
-    assert stable[2] - stable[1] < 0.5 * (stable[1] - stable[0])
-    assert growing[2] - growing[1] > 0.5 * (growing[1] - growing[0])
 
 
 # --------------------------------------------------------------------------
