@@ -20,7 +20,6 @@ integral with the exact remaining tail mass of the weight, which is what
 makes mixed norms against such weights converge at all.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -29,8 +28,8 @@ from numpy.polynomial import polynomial as npoly
 from . import spec
 from .spec import REQUIRED
 from .errors import DomainError
-from .quadrature import _NODES, _WEIGHTS, geometric_u_grid
-from .results import NormValue, divergent, finite
+from .quadrature import _WEIGHTS, gauss_panels, geometric_u_grid
+from .results import finite
 
 __all__ = [
     "AnalyticFunction",
@@ -321,9 +320,12 @@ def hardy_norm_poly(f, p):
 
 _FLAT_SHORTCUT_MIN_LEVEL = 34
 
+#: dyadic levels per profile evaluation, and the level cap
+_LEVELS_PER_CHUNK, _MAX_LEVEL = 8, 220
 
-def weighted_radial_integral(gfn, w, gamma=0.0, include_r=False,
-                             rel_tol=1e-11, max_level=220):
+
+def weighted_radial_integral(gfn, ws, gamma=0.0, include_r=False,
+                             rel_tol=1e-11):
     """integral over (0,1) of g(r) (1-r)^gamma omega(r) [r] dr.
 
     ``gfn(u_nodes)`` returns the profile g at radii 1 - u (vectorized).
@@ -335,45 +337,63 @@ def weighted_radial_integral(gfn, w, gamma=0.0, include_r=False,
       integral equals g_flat times the exact weight tail (gamma = 0 only)
       -- required for rapidly increasing weights whose tails decay more
       slowly than geometrically.
+
+    ``ws`` is a weight, or a list of weights with one value returned per
+    weight; ``gfn`` then returns one profile shared by all (shape (n,)) or
+    one per weight (shape (len(ws), n)).  Each weight keeps the arithmetic
+    and stopping rules of its own call, so its value is that call's bit for
+    bit; the profile is evaluated per chunk while any weight still runs.
+    ``diag`` has the deepest weight's ``levels``; its ``stop`` is
+    "max-level" if any weight hit the level cap, else the deepest one's rule.
     """
-    total = 0.0
-    contribs = []
-    levels_per_chunk = 8
-    for chunk in range(0, max_level, levels_per_chunk):
-        js = np.arange(chunk, min(chunk + levels_per_chunk, max_level))
-        his = 2.0 ** (-js)
-        los = his / 2.0
-        mids = 0.5 * (his + los)
-        halves = 0.5 * (his - los)
-        u_nodes = (mids[:, None] + halves[:, None] * _NODES[None, :]).ravel()
-        g_vals = np.asarray(gfn(u_nodes), dtype=float).reshape(len(js), -1)
-        wd = np.asarray(w.density_u(u_nodes), dtype=float).reshape(len(js), -1)
-        integ = g_vals * wd
-        if gamma:
-            integ = integ * u_nodes.reshape(len(js), -1) ** gamma
-        if include_r:
-            integ = integ * (1.0 - u_nodes.reshape(len(js), -1))
-        panel_sums = halves * (integ @ _WEIGHTS)
+    single = not isinstance(ws, (list, tuple))
+    weights = [ws] if single else list(ws)
+    totals = [0.0] * len(weights)
+    contribs = [[] for _ in weights]
+    stops = [None] * len(weights)          # (value, levels, rule) per weight
+    for chunk in range(0, _MAX_LEVEL, _LEVELS_PER_CHUNK):
+        running = [k for k, stop in enumerate(stops) if stop is None]
+        if not running:
+            break
+        js = np.arange(chunk, min(chunk + _LEVELS_PER_CHUNK, _MAX_LEVEL))
+        nodes, halves = gauss_panels(1.0, js)
+        u_nodes = nodes.ravel()
+        g_all = np.asarray(gfn(u_nodes), dtype=float)
+        for k in running:
+            w, c = weights[k], contribs[k]
+            g_vals = (g_all if g_all.ndim == 1 else g_all[k]).reshape(nodes.shape)
+            integ = g_vals * np.asarray(w.density_u(u_nodes), dtype=float).reshape(nodes.shape)
+            if gamma:
+                integ = integ * nodes ** gamma
+            if include_r:
+                integ = integ * (1.0 - nodes)
+            panel_sums = halves * (integ @ _WEIGHTS)
+            for idx, j in enumerate(js):
+                totals[k] += panel_sums[idx]
+                c.append(panel_sums[idx])
+                total = totals[k]
+                if len(c) >= 2 and total > 0:
+                    if abs(c[-1]) < rel_tol * total and abs(c[-2]) < rel_tol * total:
+                        ratio = c[-1] / c[-2] if c[-2] != 0 else 0.0
+                        extra = c[-1] * ratio / (1.0 - ratio) if 0 < ratio < 1 else 0.0
+                        stops[k] = (total + extra, int(j) + 1, "decay")
+                        break
+                if gamma == 0.0 and j >= _FLAT_SHORTCUT_MIN_LEVEL:
+                    row = g_vals[idx]
+                    gref = row[-1]
+                    if gref > 0 and np.max(np.abs(row - gref)) < 1e-9 * gref:
+                        rest = gref * float(w.tail_u(np.ldexp(1.0, -int(j) - 1)))
+                        stops[k] = (total + rest, int(j) + 1, "flat")
+                        break
+    stops = [s or (t, _MAX_LEVEL, "max-level") for s, t in zip(stops, totals)]
+    _, levels, rule = max(stops, key=lambda s: s[1])
+    if any(s[2] == "max-level" for s in stops):
+        rule = "max-level"
+    diag = {"levels": levels, "stop": rule}
+    return (stops[0][0] if single else np.array([s[0] for s in stops])), diag
 
-        for idx, j in enumerate(js):
-            total += panel_sums[idx]
-            contribs.append(panel_sums[idx])
-            if len(contribs) >= 2 and total > 0:
-                if (abs(contribs[-1]) < rel_tol * total
-                        and abs(contribs[-2]) < rel_tol * total):
-                    ratio = contribs[-1] / contribs[-2] if contribs[-2] != 0 else 0.0
-                    extra = contribs[-1] * ratio / (1.0 - ratio) if 0 < ratio < 1 else 0.0
-                    return total + extra, {"levels": int(j) + 1, "stop": "decay"}
-            if gamma == 0.0 and j >= _FLAT_SHORTCUT_MIN_LEVEL:
-                row = g_vals[idx]
-                gref = row[-1]
-                if gref > 0 and np.max(np.abs(row - gref)) < 1e-9 * gref:
-                    rest = gref * float(w.tail_u(los[idx]))
-                    return total + rest, {"levels": int(j) + 1, "stop": "flat"}
-    return total, {"levels": max_level, "stop": "max-level"}
 
-
-def bergman_norm(f, p, w, rel_tol=1e-11):
+def bergman_norm(f, p, w):
     """Bergman norm: (2 integral of M_p^p(r,f) omega(r) r dr)^(1/p).
 
     p = 2 with a closed-tail weight reduces to the exact coefficient sum
@@ -395,12 +415,12 @@ def bergman_norm(f, p, w, rel_tol=1e-11):
         vals, _ = hardy_means_u(f, p, u)
         return vals ** p
 
-    val, diag = weighted_radial_integral(gfn, w, include_r=True, rel_tol=rel_tol)
+    val, diag = weighted_radial_integral(gfn, w, include_r=True)
     diag["convention"] = "area"
     return finite((2.0 * val) ** (1.0 / p), method="quadrature", **diag)
 
 
-def mixed_norm(f, p, q, w, gamma=0.0, rel_tol=1e-11):
+def mixed_norm(f, p, q, w, gamma=0.0):
     """Mixed norm (integral of M_p^q(r,f) (1-r)^gamma omega(r) dr)^(1/q).
 
     Note: no factor r and no factor 2 -- this is the H(p,q,omega_gamma)
@@ -419,16 +439,16 @@ def mixed_norm(f, p, q, w, gamma=0.0, rel_tol=1e-11):
             vals, _ = hardy_means_u(f, p, u)
         return vals ** q
 
-    val, diag = weighted_radial_integral(gfn, w, gamma=gamma, rel_tol=rel_tol)
+    val, diag = weighted_radial_integral(gfn, w, gamma=gamma)
     return finite(val ** (1.0 / q), method="quadrature", **diag)
 
 
 _SUP_GRID = geometric_u_grid(40, 4)
 
 
-def mixed_norm_sup(f, p, w, beta=0.0, gamma=0.0, grid=None):
+def mixed_norm_sup(f, p, w, beta=0.0, gamma=0.0):
     """sup over r of M_p(r, f) (1-r)^gamma what(r)^beta on the geometric grid."""
-    us = _SUP_GRID if grid is None else 1.0 - np.asarray(grid, dtype=float)
+    us = _SUP_GRID
     if p == math.inf:
         means, _ = m_infinity_u(f, us)
     else:
@@ -443,14 +463,13 @@ def mixed_norm_sup(f, p, w, beta=0.0, gamma=0.0, grid=None):
                   grid_size=len(us))
 
 
-def lambda_norm(g, q, alpha, eta, w, grid=None):
+def lambda_norm(g, q, alpha, eta, w):
     """Mean Lipschitz norm: sup_r M_q(r, g')(1-r)^(1-alpha)/what(r)^eta + |g(0)|."""
     if not 0 < alpha <= 1:
         raise DomainError("lambda norm requires alpha in (0, 1]")
     if eta < 0:
         raise DomainError("lambda norm requires eta >= 0")
-    sup = mixed_norm_sup(g.derivative(), q, w, beta=-eta, gamma=1.0 - alpha,
-                         grid=grid)
+    sup = mixed_norm_sup(g.derivative(), q, w, beta=-eta, gamma=1.0 - alpha)
     return finite(sup.value + abs(complex(g.coefficients[0])),
                   method="sup-grid", **sup.diagnostics)
 

@@ -35,7 +35,7 @@ from .analytic import (bergman_norm, hardy_norm_poly, mixed_norm,
 from .errors import DomainError, QuadratureDivergence
 from .verify import run_scenario, write_report
 from .weights import (classify, condition_99, muckenhoupt, parse_weight,
-                      regularity_exponents, tail_exponent)
+                      tail_exponent)
 
 _F = "%.12e"
 
@@ -59,7 +59,7 @@ def _cmd_weights_inspect(args):
              + _F % cls.ratio_range[1],
              "tail_exponent: " + _F % tail_exponent(w)]
     if cls.verdict == "Regular":
-        lo, hi = regularity_exponents(w)
+        lo, hi = cls.exponents
         lines.append("regularity_exponents: " + _F % lo + " " + _F % hi)
     if args.p is not None:
         mp = muckenhoupt(w, args.p)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .analytic import AnalyticFunction, hardy_norm_poly
 from .errors import DomainError
-from .results import NormValue, finite
+from .results import finite
 
 #: marks above this are not materialized as integer blocks
 _MARK_CAP = 2 ** 31

@@ -31,7 +31,7 @@ from scipy.special import gammaln, hyp2f1
 
 from .analytic import AnalyticFunction, bergman_norm, hardy_means_u
 from .errors import DomainError, WellDefinednessError
-from .quadrature import (_NODES as _GAUSS_NODES, _WEIGHTS as _GAUSS_WEIGHTS,
+from .quadrature import (_WEIGHTS as _GAUSS_WEIGHTS, gauss_panels,
                          integrate_geometric, integrate_geometric_vec)
 from .results import divergent, finite
 from .weights import carleson_mass, condition_99
@@ -41,6 +41,12 @@ _HANKEL_DENSE_MAX = 2 ** 16
 
 #: default truncation degree cap for expanded test functions
 _FN_DEGREE_CAP = 2 ** 17
+
+#: dyadic levels in 1 - t of the node set of hilbert_norm2_profile
+_PROFILE_LEVELS = 60
+
+#: radii rho of the Q_rho test functions in operator_norm_lower
+_Q_RHOS = (0.9, 0.95, 0.99)
 
 
 class OperatorSetting:
@@ -139,7 +145,7 @@ def moments_profile(phi, k_max, t_min=0.0):
         return np.asarray(phi(u), dtype=float)[:, None] * \
             np.exp(np.outer(lt, ks))
 
-    vals = integrate_geometric_vec(integrand, 0.0, 1.0 - t_min)
+    vals = integrate_geometric_vec(integrand, 1.0 - t_min)
     return np.asarray(vals, dtype=float)
 
 
@@ -274,7 +280,7 @@ def _bergman2_kernel(w):
                       "weights (got %s)" % w.family)
 
 
-def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0, max_levels=60):
+def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0):
     """||H(phi)||_{A^2_omega} for a profile phi(u) >= 0, truncation-free.
 
     Uses the bilinear form  ||H(phi)||^2 = integral over [t_min,t_max)^2 of
@@ -284,26 +290,12 @@ def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0, max_levels=60):
     the mass).  Geometric panels in 1 - t on both axes.
     """
     kernel = _bergman2_kernel(w)
-    u_hi = 1.0 - t_min
-    u_lo = 1.0 - t_max
-    nodes = []
-    coefs = []
-    hi = u_hi
-    for m in range(max_levels):
-        lo = max(u_hi * 0.5 ** (m + 1), u_lo)
-        if lo >= hi:
-            break
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u = mid + half * _GAUSS_NODES
-        nodes.append(u)
-        coefs.append(half * _GAUSS_WEIGHTS * np.asarray(phi(u), dtype=float))
-        hi = lo
-        if lo == u_lo:
-            break
-    if not nodes:
+    nodes, halves = gauss_panels(1.0 - t_min, np.arange(_PROFILE_LEVELS),
+                                 1.0 - t_max)
+    if not len(halves):
         return 0.0
-    u = np.concatenate(nodes)
-    c = np.concatenate(coefs)
+    u = nodes.ravel()
+    c = (halves[:, None] * _GAUSS_WEIGHTS).ravel() * np.asarray(phi(u), dtype=float)
     # 1 - ts for t = 1-u, s = 1-v: u + v - uv, exact even when ts rounds to 1;
     # the form is symmetric, so each pair of nodes is evaluated once
     i, j = np.triu_indices(len(u), 1)
@@ -385,13 +377,12 @@ def test_function_Q(g, rho, setting, k_max=1024):
 # ---------------------------------------------------------------------------
 # operator-norm estimates
 
-def operator_norm_lower(g, setting, part, n_max=6, gamma=None,
-                        rho_grid=(0.9, 0.95, 0.99)):
+def operator_norm_lower(g, setting, part, n_max=6, gamma=None):
     """Lower bound for ||H_g|| via the theorem-side test families.
 
     Maximizes bergman_norm(H_g f, q) / bergman_norm(f, p) over the kernel
     family f_(M_n), n <= n_max (regime q >= p) or the Q_rho family on
-    ``rho_grid`` (regime q < p).
+    rho in ``_Q_RHOS`` (regime q < p).
     """
     setting.require_well_defined()
     if not np.any(g.coefficients[1:]):
@@ -410,7 +401,7 @@ def operator_norm_lower(g, setting, part, n_max=6, gamma=None,
             if den > 0:
                 best = max(best, num / den)
     else:
-        for rho in rho_grid:
+        for rho in _Q_RHOS:
             phi, Q = test_function_Q(g, rho, setting)
             img = apply_generalized(g, Q, k_max, setting)
             num = float(bergman_norm(img, setting.q, w))

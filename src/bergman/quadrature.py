@@ -20,6 +20,18 @@ integrand form an exact geometric sequence, so the loop stops once the
 contribution ratio stabilizes and closes the remaining tail with the
 geometric sum.  A ratio that refuses to drop below 1 is reported as
 divergence together with the implied local exponent.
+
+:func:`gauss_panels` is the one panel table: nodes and half-widths of a
+batch of dyadic levels or of the panels between descending edges.  Its
+users evaluate the integrand once on the flattened nodes and reduce per
+panel: :func:`integrate_geometric_vec`, ``weighted_radial_integral``
+(chunks of 8 levels), ``hilbert_norm2_profile`` (all levels) and
+``muckenhoupt`` (panels between grid points, then one cumulative sum per
+factor).  The scalar :func:`integrate_geometric` keeps its own loop: it
+decides divergence, extrapolation and adaptive bisection panel by panel
+with a 1-D sum per panel, which batching would change.  So does
+``weights._integrate_endpoint``, whose adaptive panels grow geometrically
+in t = 1 - log(u/u0).
 """
 
 import math
@@ -34,6 +46,12 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: geometric extrapolation of the remaining tail
 _MIN_LEVELS_BEFORE_EXTRAPOLATION = 24
 
+#: stopping tolerance and level caps of the scalar / vector geometric loops
+_REL_TOL, _MAX_LEVELS, _VEC_MAX_LEVELS = 1e-12, 400, 200
+
+#: agreement with the bisected estimate, and depth cap, in adaptive_panel
+_PANEL_TOL, _MAX_DEPTH = 1e-13, 30
+
 
 def gauss_panel(f, a, b):
     """Fixed 16-node Gauss-Legendre estimate of ``integral of f on [a, b]``."""
@@ -43,7 +61,30 @@ def gauss_panel(f, a, b):
     return half * float(np.sum(_WEIGHTS * f(x)))
 
 
-def adaptive_panel(f, a, b, rel_tol=1e-13, max_depth=30):
+def gauss_panels(u_hi, levels=None, u_lo=0.0):
+    """Nodes (panels x 16) and half-widths of a batch of Gauss panels.
+
+    With integer ``levels``, panel j spans [max(u_hi 2^-(j+1), u_lo),
+    u_hi 2^-j] (edges exact by ``np.ldexp``), and levels at or below
+    ``u_lo`` are left out; otherwise ``u_hi`` holds descending edges e and
+    panel i spans [e[i+1], e[i]].  Panel i integrates to
+    ``halves[i] * sum(_WEIGHTS * f(nodes[i]))``.
+    """
+    if levels is None:
+        edges = np.asarray(u_hi, dtype=float)
+        his, los = edges[:-1], edges[1:]
+    else:
+        levels = np.asarray(levels)
+        his = np.ldexp(float(u_hi), -levels)
+        keep = his > u_lo
+        his = his[keep]
+        los = np.maximum(np.ldexp(float(u_hi), -(levels[keep] + 1)), u_lo)
+    mids = 0.5 * (his + los)
+    halves = 0.5 * (his - los)
+    return mids[:, None] + halves[:, None] * _NODES, halves
+
+
+def adaptive_panel(f, a, b):
     """Bisection-adaptive Gauss quadrature on a single finite panel.
 
     Only needed for integrands with structure below the panel scale
@@ -61,10 +102,10 @@ def adaptive_panel(f, a, b, rel_tol=1e-13, max_depth=30):
         right = gauss_panel(f, mid, hi)
         refined = left + right
         # the absolute floor keeps subnormal-magnitude panels (pure rounding
-        # noise, relative error O(1)) from being subdivided to max_depth;
+        # noise, relative error O(1)) from being subdivided to _MAX_DEPTH;
         # non-finite estimates cannot improve under bisection either
-        if depth >= max_depth or not math.isfinite(refined - est) \
-                or abs(refined - est) <= max(rel_tol * abs(refined), 1e-290):
+        if depth >= _MAX_DEPTH or not math.isfinite(refined - est) \
+                or abs(refined - est) <= max(_PANEL_TOL * abs(refined), 1e-290):
             total += refined
         else:
             stack.append((lo, mid, left, depth + 1))
@@ -72,8 +113,7 @@ def adaptive_panel(f, a, b, rel_tol=1e-13, max_depth=30):
     return total
 
 
-def integrate_geometric(f, u_lo, u_hi, rel_tol=1e-12, max_levels=400,
-                        adaptive=False, panel_tol=1e-13):
+def integrate_geometric(f, u_lo, u_hi, adaptive=False):
     """Integrate f(u) du over (u_lo, u_hi] with geometric panels toward 0.
 
     ``u_lo = 0`` makes the integral improper; convergence is then decided
@@ -83,12 +123,12 @@ def integrate_geometric(f, u_lo, u_hi, rel_tol=1e-12, max_levels=400,
     """
     if u_hi <= u_lo:
         return 0.0
-    panel = (lambda g, a, b: adaptive_panel(g, a, b, panel_tol)) if adaptive else gauss_panel
+    panel = adaptive_panel if adaptive else gauss_panel
 
     total = 0.0
     hi = u_hi
     contribs = []
-    for level in range(max_levels):
+    for level in range(_MAX_LEVELS):
         lo = u_hi * 0.5 ** (level + 1)
         if lo <= u_lo:
             total += panel(f, max(u_lo, lo), hi)
@@ -99,7 +139,7 @@ def integrate_geometric(f, u_lo, u_hi, rel_tol=1e-12, max_levels=400,
         hi = lo
 
         if len(contribs) >= 2 and abs(total) > 0:
-            if abs(contribs[-1]) < rel_tol * abs(total) and abs(contribs[-2]) < rel_tol * abs(total):
+            if abs(contribs[-1]) < _REL_TOL * abs(total) and abs(contribs[-2]) < _REL_TOL * abs(total):
                 # tail closed geometrically (harmless if already negligible)
                 ratio = _stable_ratio(contribs)
                 if ratio is not None and 0 < ratio < 1:
@@ -124,7 +164,7 @@ def integrate_geometric(f, u_lo, u_hi, rel_tol=1e-12, max_levels=400,
     ratio = _stable_ratio(contribs, window=6, agree=1e-3)
     if ratio is not None and ratio < 1:
         return total + contribs[-1] * ratio / (1.0 - ratio)
-    raise QuadratureDivergence("no convergence after %d geometric levels" % max_levels)
+    raise QuadratureDivergence("no convergence after %d geometric levels" % _MAX_LEVELS)
 
 
 def _stable_ratio(contribs, window=4, agree=1e-8):
@@ -143,8 +183,8 @@ def _stable_ratio(contribs, window=4, agree=1e-8):
     return None
 
 
-def integrate_geometric_vec(f, u_lo, u_hi, rel_tol=1e-12, max_levels=200):
-    """Vector-valued version of :func:`integrate_geometric`.
+def integrate_geometric_vec(f, u_hi):
+    """Vector-valued version of :func:`integrate_geometric` over (0, u_hi].
 
     ``f(u_nodes)`` must return an array of shape ``(len(u_nodes), dim)``.
     Convergence is judged on the max-norm of the panel contribution, so all
@@ -152,23 +192,14 @@ def integrate_geometric_vec(f, u_lo, u_hi, rel_tol=1e-12, max_levels=200):
     divergence detection: callers use it for manifestly convergent moment
     integrals.
     """
-    hi = u_hi
     total = None
     prev_small = False
-    for level in range(max_levels):
-        lo = u_hi * 0.5 ** (level + 1)
-        a = max(u_lo, lo)
-        mid = 0.5 * (a + hi)
-        half = 0.5 * (hi - a)
-        x = mid + half * _NODES
-        vals = f(x)
-        c = half * (_WEIGHTS[:, None] * vals).sum(axis=0)
+    for level in range(_VEC_MAX_LEVELS):
+        nodes, halves = gauss_panels(u_hi, [level])
+        c = halves[0] * (_WEIGHTS[:, None] * f(nodes[0])).sum(axis=0)
         total = c if total is None else total + c
-        hi = lo
-        if lo <= u_lo:
-            return total
         scale = float(np.max(np.abs(total))) + 1e-300
-        small = float(np.max(np.abs(c))) < rel_tol * scale
+        small = float(np.max(np.abs(c))) < _REL_TOL * scale
         if small and prev_small:
             return total
         prev_small = small

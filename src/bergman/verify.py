@@ -30,9 +30,9 @@ from .analytic import (AnalyticFunction, binomial_kernel, dirichlet_norm,
                        random_function, weighted_radial_integral)
 from .errors import DivergentMassError, DomainError
 from .quadrature import geometric_u_grid, integrate_geometric
-from .weights import (classify, condition_99, const_weight, derived_weight,
-                      distortion, logpow_weight, muckenhoupt, pow_weight,
-                      std_weight, u_p_weight)
+from .weights import (classify, const_weight, derived_weight, distortion,
+                      logpow_weight, muckenhoupt, pow_weight, std_weight,
+                      u_p_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +206,15 @@ def _th_dec(config):
     weights = {wname: named_weight(wname) for wname in cfg["weights"]}
 
     # The mixed norms dominate the cost, and the geometric quadrature nodes
-    # are identical for every weight, so the circle means of each corpus
-    # function are computed once and shared across weights.
+    # are identical for every weight, so one radial integral per function
+    # runs over all weights and samples each circle once.
     mixed_vals = {}
     for (p, q) in cfg["pairs"]:
         for label, f in fns:
-            cache = {}
-
-            def gfn(u, f=f, p=p, q=q, cache=cache):
-                key = u.tobytes()
-                if key not in cache:
-                    cache[key] = hardy_means_u(f, p, u, rel_tol=1e-6)[0]
-                return cache[key] ** q
-
-            for wname, w in weights.items():
-                val, _ = weighted_radial_integral(gfn, w, rel_tol=1e-8)
+            vals, _ = weighted_radial_integral(
+                lambda u: hardy_means_u(f, p, u, rel_tol=1e-6)[0] ** q,
+                list(weights.values()), rel_tol=1e-8)
+            for wname, val in zip(weights, vals):
                 mixed_vals[(wname, p, q, label)] = float(val ** (1.0 / q))
 
     cell_spreads = {}
@@ -688,49 +682,37 @@ def _ineq_minfty(config):
     half_pi = math.pi / 2.0
     worst = 0.0
     pairs = [(wname, named_weight(wname)) for wname in cfg["weights"]]
-    hats = {wname: hat_weight(w) for wname, w in pairs}
+    bases = [w for _, w in pairs]
+    # the quadrature panels coincide across weights and p, so each side is
+    # one radial integral per function over all its (weight, p) columns,
+    # and the circle maxima / p-means are computed once per node block
+    cols = [(i, wname, p) for i, (wname, _) in enumerate(pairs) for p in cfg["ps"]]
+    hats = [hat_weight(w) for w in bases]
     for label, f in fns:
-        # the geometric quadrature panels coincide across weights and p,
-        # so the circle maxima / p-means are computed once per node block
-        # and reused on every weight
-        minf_cache = {}
-        mean_cache = {}
+        def minf_powers(u, f=f):
+            # grid maxima are certified lower bounds, so a loose
+            # tolerance keeps the one-sided check conservative
+            vals, _ = m_infinity_u(f, u, rel_tol=1e-3)
+            powers = {p: vals ** p for p in cfg["ps"]}
+            return np.array([powers[p] for _, _, p in cols])
 
-        def minf(u):
-            key = u.tobytes()
-            vals = minf_cache.get(key)
-            if vals is None:
-                # grid maxima are certified lower bounds, so a loose
-                # tolerance keeps the one-sided check conservative
-                vals, _ = m_infinity_u(f, u, rel_tol=1e-3)
-                minf_cache[key] = vals
-            return vals
-
-        def mean_p(u, p):
-            key = (p, u.tobytes())
-            vals = mean_cache.get(key)
-            if vals is None:
-                vals, _ = hardy_means_u(f, p, u, rel_tol=1e-5)
-                mean_cache[key] = vals
-            return vals
-
-        for wname, w in pairs:
-            for p in cfg["ps"]:
-                lhs, _ = weighted_radial_integral(
-                    lambda u: minf(u) ** p, hats[wname], rel_tol=1e-8)
-                if p == 2:
-                    rhs = half_pi * float(bergman_norm(f, p, w)) ** p
-                else:
-                    area, _ = weighted_radial_integral(
-                        lambda u: mean_p(u, p) ** p, w,
-                        include_r=True, rel_tol=1e-7)
-                    rhs = half_pi * 2.0 * area
-                ok = lhs <= rhs * (1.0 + 1e-9)
-                worst = max(worst, lhs / rhs)
-                rep.cases.append(_case("%s|p%g|%s" % (wname, p, label),
-                                       {"weight": wname, "p": p, "f": label},
-                                       lhs, rhs,
-                                       verdict="ok" if ok else "violation"))
+        lhs_vals, _ = weighted_radial_integral(
+            minf_powers, [hats[i] for i, _, _ in cols], rel_tol=1e-8)
+        areas = {p: weighted_radial_integral(
+            lambda u, f=f, p=p: hardy_means_u(f, p, u, rel_tol=1e-5)[0] ** p,
+            bases, include_r=True, rel_tol=1e-7)[0]
+            for p in cfg["ps"] if p != 2}
+        for (i, wname, p), lhs in zip(cols, lhs_vals):
+            if p == 2:
+                rhs = half_pi * float(bergman_norm(f, p, bases[i])) ** p
+            else:
+                rhs = half_pi * 2.0 * areas[p][i]
+            ok = lhs <= rhs * (1.0 + 1e-9)
+            worst = max(worst, lhs / rhs)
+            rep.cases.append(_case("%s|p%g|%s" % (wname, p, label),
+                                   {"weight": wname, "p": p, "f": label},
+                                   lhs, rhs,
+                                   verdict="ok" if ok else "violation"))
     rep.diagnostics["max_lhs_over_rhs"] = worst
     return _finish(rep, cfg.get("window", math.inf), t0)
 

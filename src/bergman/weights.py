@@ -24,13 +24,9 @@ from scipy import special
 from . import spec
 from .spec import REQUIRED
 from .errors import DivergentMassError, DomainError
-from .quadrature import (
-    adaptive_panel,
-    gauss_panel,
-    geometric_u_grid,
-    integrate_geometric,
-)
-from .results import NormValue, divergent, finite, undetermined
+from .quadrature import (_WEIGHTS, adaptive_panel, gauss_panel, gauss_panels,
+                         geometric_u_grid, integrate_geometric)
+from .results import divergent, finite, undetermined
 
 __all__ = [
     "RadialWeight",
@@ -53,7 +49,6 @@ __all__ = [
     "condition_99",
     "moment_radial",
     "moment_plain",
-    "regularity_exponents",
     "u_p_weight",
     "carleson_mass",
 ]
@@ -254,7 +249,7 @@ def _integrate_endpoint(f_u, u0, f_log=None):
     t_lo = 1.0
     for level in range(120):
         t_hi = 2.0 ** (level + 1)
-        c = adaptive_panel(g, t_lo, t_hi, rel_tol=1e-13)
+        c = adaptive_panel(g, t_lo, t_hi)
         total += c
         contribs.append(c)
         t_lo = t_hi
@@ -643,11 +638,10 @@ def distortion(w, r):
 class WeightClassification:
     """Outcome of the regular / rapidly-increasing diagnostic."""
 
-    def __init__(self, verdict, ratio_range, exponents, grid):
+    def __init__(self, verdict, ratio_range, exponents):
         self.verdict = verdict                 # Regular | RapidlyIncreasing | Undetermined
         self.ratio_range = ratio_range         # (min, max) of psi(r)/(1-r) on grid
         self.exponents = exponents             # (alpha_hat, beta_hat) or None
-        self.grid = grid
 
     def __repr__(self):
         return "WeightClassification(%s, ratio range [%.4g, %.4g])" % (
@@ -658,22 +652,16 @@ class WeightClassification:
 _REGULAR_SPREAD_BOUND = 50.0
 
 
-def classify(w, grid=None):
+def classify(w):
     """Classify a weight as Regular / RapidlyIncreasing / Undetermined.
 
-    The diagnostic quantity is psi(r)/(1-r) on a geometric grid reaching at
-    least r = 1 - 2^(-20).  Bounded dynamic range means Regular; a ratio
+    The diagnostic quantity is psi(r)/(1-r) on the geometric grid
+    1 - r = 2^(-j), j = 0..24.  Bounded dynamic range means Regular; a ratio
     that is still increasing at the end of the grid and has grown by more
     than a factor 10 means RapidlyIncreasing; anything else is reported as
     Undetermined rather than guessed.
     """
-    if grid is None:
-        us = 2.0 ** (-np.arange(0, 25, dtype=float))
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(np.diff(grid) <= 0) or grid[-1] < 1.0 - 2.0 ** -20:
-            raise DomainError("classification grid must increase and reach 1-2^-20")
-        us = 1.0 - grid
+    us = 2.0 ** (-np.arange(0, 25, dtype=float))
     ratios = np.array([float(w.tail_u(u) / (w.density_u(u) * u)) for u in us])
     rmin, rmax = float(np.min(ratios)), float(np.max(ratios))
 
@@ -688,7 +676,7 @@ def classify(w, grid=None):
     else:
         verdict = "Undetermined"
         exps = None
-    return WeightClassification(verdict, (rmin, rmax), exps, us)
+    return WeightClassification(verdict, (rmin, rmax), exps)
 
 
 def _fit_exponents(w, us):
@@ -703,18 +691,6 @@ def _fit_exponents(w, us):
         for j in range(i + 1, len(deep)):
             slopes.append((logs_t[i] - logs_t[j]) / (logs_u[i] - logs_u[j]))
     return (float(np.min(slopes)), float(np.max(slopes)))
-
-
-def regularity_exponents(w):
-    """Fitted exponents (alpha_hat, beta_hat) with
-    ((1-r)/(1-t))^alpha_hat what(t) <= what(r) <= ((1-r)/(1-t))^beta_hat what(t)
-    over the deep diagnostic grid.  Only meaningful for Regular weights."""
-    cls = classify(w)
-    if cls.verdict != "Regular":
-        raise DomainError(
-            "regularity exponents are defined for Regular weights; "
-            "classification was %s" % cls.verdict)
-    return cls.exponents
 
 
 def tail_exponent(w, levels=(38, 39, 40)):
@@ -763,14 +739,16 @@ def condition_99(w, p):
     return finite(value, method="quadrature", exponent=-m, tail_exponent=theta)
 
 
-def muckenhoupt(w, p, grid=None):
+def muckenhoupt(w, p):
     """Muckenhoupt-type constant
 
         M_p = sup_r (int_r^1 what^(-1/(p-1)))^(1-1/p) (int_0^r (1-t)^(-p) what)^(1/p)
 
     computed on a geometric sup grid.  The improper first factor carries a
     divergence detector on the tail exponent of what; divergence is a
-    verdict, not an exception.
+    verdict, not an exception.  Both factors are cumulative sums over the
+    Gauss panels between neighbouring grid points, which share one tail
+    evaluation.
     """
     if p <= 1:
         raise DomainError("muckenhoupt constant requires p > 1")
@@ -780,20 +758,18 @@ def muckenhoupt(w, p, grid=None):
     if verdict == "undetermined":
         return undetermined(method="sup-grid", exponent=-m, tail_exponent=theta)
 
-    us = geometric_u_grid(40, 4) if grid is None else 1.0 - np.asarray(grid, float)
-    us = np.sort(us)[::-1]                     # descending from u = 1
+    us = geometric_u_grid(40, 4)               # descending from u = 1
     qexp = 1.0 / (p - 1.0)
-    f_a = lambda v: np.asarray(w.tail_u(v)) ** -qexp
-    f_b = lambda v: v ** -p * np.asarray(w.tail_u(v))
-
-    a_vals = np.empty(len(us))
-    a_vals[-1] = integrate_geometric(f_a, 0.0, us[-1])
-    for i in range(len(us) - 2, -1, -1):
-        a_vals[i] = a_vals[i + 1] + gauss_panel(f_a, us[i + 1], us[i])
-    b_vals = np.empty(len(us))
-    b_vals[0] = 0.0
-    for i in range(1, len(us)):
-        b_vals[i] = b_vals[i - 1] + gauss_panel(f_b, us[i], us[i - 1])
+    nodes, halves = gauss_panels(us)           # panel i spans [us[i+1], us[i]]
+    tails = np.asarray(w.tail_u(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    a_panels = halves * np.sum(_WEIGHTS * tails ** -qexp, axis=1)
+    b_panels = halves * np.sum(_WEIGHTS * (nodes ** -p * tails), axis=1)
+    # a(u_i) adds panels from the deepest point up, b(u_i) from u = 1 down;
+    # a contiguous a_vals takes the same power loop as a filled array
+    a_deep = integrate_geometric(lambda v: np.asarray(w.tail_u(v)) ** -qexp,
+                                 0.0, us[-1])
+    a_vals = np.cumsum(np.concatenate(([a_deep], a_panels[::-1])))[::-1].copy()
+    b_vals = np.cumsum(np.concatenate(([0.0], b_panels)))
 
     vals = a_vals ** (1.0 - 1.0 / p) * b_vals ** (1.0 / p)
     k = int(np.argmax(vals))

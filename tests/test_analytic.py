@@ -16,7 +16,7 @@ from bergman.analytic import (AnalyticFunction, bergman_norm, binomial_kernel,
 from bergman.errors import DomainError
 from bergman.operators import apply_classical
 from bergman.quadrature import _NODES
-from bergman.weights import const_weight, moment_radial, std_weight
+from bergman.weights import const_weight, moment_radial
 
 # round to avoid coefficients so tiny that |f|^p underflows to zero
 coeff_lists = st.lists(st.floats(min_value=-2.0, max_value=2.0)

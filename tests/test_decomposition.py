@@ -1,7 +1,5 @@
 """Block partitions, decomposition norms, lacunary criteria."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,7 @@ from bergman.decomposition import (block, block_criterion_lambda,
                                    is_omega_lacunary, lacunary_norm,
                                    lacunary_sup_test, partition, radii)
 from bergman.errors import DomainError
-from bergman.weights import moment_radial, pow_weight
+from bergman.weights import pow_weight
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,51 @@
+"""Tooling: no module in src/ or tests/ imports a name it never uses.
+
+Only the stdlib ``ast`` module is used.  A name counts as used when it
+appears anywhere in the module as a plain name (``np`` in ``np.sum``
+included); names listed in the module's ``__all__`` are re-exports and
+count as used too.
+"""
+
+import ast
+import pathlib
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(source):
+    """Sorted (line, name) of the imported names that ``source`` never uses."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts
+                        if isinstance(elt, ast.Constant))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_detector_flags_unused_and_exempts_reexports():
+    source = ("import os\nimport numpy as np\nimport a.b\n"
+              "from m import x, y as z, kept\n"
+              "__all__ = ['kept']\n"
+              "print(np.pi, a.b.c, z)\n")
+    assert _unused_imports(source) == [(1, "os"), (4, "x")]
+
+
+def test_no_unused_imports():
+    files = sorted((_ROOT / "src").rglob("*.py")) + sorted((_ROOT / "tests").rglob("*.py"))
+    assert files
+    offenders = ["%s:%d %s" % (path.relative_to(_ROOT), line, name)
+                 for path in files
+                 for line, name in _unused_imports(path.read_text())]
+    assert offenders == []

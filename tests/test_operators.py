@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman import operators
-from bergman.analytic import (AnalyticFunction, dirichlet_norm, log_kernel,
-                              random_function)
+from bergman.analytic import AnalyticFunction, dirichlet_norm, log_kernel
 from bergman.errors import DomainError, WellDefinednessError
 from bergman.operators import (OperatorSetting, _bergman2_kernel,
                                apply_classical, apply_generalized,

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from bergman.errors import DivergentMassError, DomainError
 from bergman.weights import (carleson_mass, classify, condition_99, distortion,
                              moment_plain, moment_radial, muckenhoupt,
-                             parse_weight, regularity_exponents, std_weight,
-                             table_weight, tail, tail_exponent, tail_numeric,
-                             u_p_weight)
+                             parse_weight, std_weight, table_weight, tail,
+                             tail_exponent, tail_numeric, u_p_weight)
 
 
 # --------------------------------------------------------------------------
@@ -112,13 +111,12 @@ def test_classify_verdicts(w_std_m05, w_osc, w_logpow2):
 
 
 def test_regularity_exponents(w_const, w_std_1, w_logpow2):
-    lo, hi = regularity_exponents(w_const)
+    lo, hi = classify(w_const).exponents
     assert (lo, hi) == pytest.approx((1.0, 1.0), abs=1e-9)
-    lo, hi = regularity_exponents(w_std_1)
+    lo, hi = classify(w_std_1).exponents
     assert hi == pytest.approx(2.0, abs=1e-6)
     assert lo == pytest.approx(2.0, abs=0.05)
-    with pytest.raises(DomainError):
-        regularity_exponents(w_logpow2)
+    assert classify(w_logpow2).exponents is None
 
 
 def test_tail_exponent_standard():
