@@ -2,7 +2,9 @@
 
 Functions are finite coefficient lists.  Circle means M_p(r, f) are
 computed by uniform sampling at the N-th roots of unity via the FFT,
-doubling N until the p-mean stabilizes.  The scaled coefficients c_k r^k
+doubling N until the p-mean stabilizes.  One call serves several p: the
+moduli at each N are computed once, in blocks of radii that bound the FFT
+temporaries, and each p stops on its own.  The scaled coefficients c_k r^k
 are built once per call, for all radii at once.  Sampling a degree-d
 polynomial at N points is the DFT of that row folded modulo N, exact for
 every N; the FFT zero-pads the row itself, so the fold happens only when
@@ -178,17 +180,17 @@ def parse_function_spec(text):
 
 _N_START_LOG2 = 7
 _N_CAP_LOG2 = 18
+#: circle samples (radii x N) per FFT block, which bounds the temporaries
+_BLOCK_SAMPLES = 2 ** 18
 
 
 def _power_matrix(us, ks, factor=1.0):
     """(1-u)^(factor*k) for u in us, k in ks, safe at u = 1 (r = 0)."""
     us = np.asarray(us, dtype=float)
     ks = np.asarray(ks, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.log1p(-np.minimum(us, 1.0))
-        mat = np.exp(factor * np.outer(logr, ks))
-    at_zero = us >= 1.0
-    if np.any(at_zero):
+    at_zero = us >= 1.0              # r = 0: rows set below, log1p(0) meanwhile
+    mat = np.exp(factor * (np.log1p(-np.where(at_zero, 0.0, us))[:, None] * ks))
+    if at_zero.any():
         mat[at_zero] = np.where(ks == 0, 1.0, 0.0)
     return mat
 
@@ -200,7 +202,7 @@ def _scaled_coefficients(coeffs, us):
     samples can use the half-spectrum real FFT.  Radial factors come from
     u through log1p, so radii within double rounding of 1 lose no precision.
     """
-    if not np.any(coeffs.imag):
+    if not coeffs.imag.any():
         coeffs = coeffs.real
     return coeffs[None, :] * _power_matrix(us, np.arange(len(coeffs)))
 
@@ -221,7 +223,7 @@ def _circle_moduli(scaled, n):
         for lo in range(0, m, n):
             folded[:, :min(n, m - lo)] += scaled[:, lo:lo + n]
         scaled = folded
-    if np.isrealobj(scaled):
+    if scaled.dtype.kind == "f":
         mods = np.abs(np.fft.rfft(scaled, n=n, axis=1))
         weights = np.full(n // 2 + 1, 2.0 / n)
         weights[0] = weights[-1] = 1.0 / n
@@ -232,58 +234,74 @@ def _circle_moduli(scaled, n):
 
 
 def hardy_means_u(f, p, us, rel_tol=1e-9):
-    """M_p(1-u, f) for every u in ``us`` (vectorized node-doubling).
+    """M_p(1-u, f) for every u in ``us``, for one p or a sequence of p.
 
-    Returns (values, diagnostics).  p = 2 uses the exact Parseval formula.
-    Otherwise N nodes on each circle, starting at the least power of two
-    >= 2d + 2 (clamped to [2^7, 2^18]) and doubling until two successive
-    means agree to ``rel_tol`` or N reaches 2^18 (``capped``).  ``nodes`` is
-    that full-circle N, also when real coefficients let the real FFT return
-    only the N/2 + 1 bins of the half spectrum.
+    Returns (values, diag), values of shape (len(us),) for a scalar p and
+    (len(p), len(us)) for a sequence; each p must be finite and > 0.  p = 2
+    is exact (Parseval).  Otherwise N nodes per circle, from the least power
+    of two >= 2d + 2 in [2^7, 2^18], doubling until a p's successive means
+    agree to ``rel_tol`` or N reaches 2^18.  The moduli at each N are
+    computed once, in blocks of <= ``_BLOCK_SAMPLES`` samples, for every p
+    still running, so each p stops at its own call's N with its bits.  One
+    ``diag``: the ``method`` or the full-circle ``nodes`` and
+    ``last_increment`` of the p that sampled most, ``capped`` if any p hit
+    2^18, and each p's own in ``per_p``.
     """
+    scalar = isinstance(p, (int, float, np.number))
+    ps = [float(q) for q in ([p] if scalar else p)]
+    if not all(0 < q < math.inf for q in ps):       # NaN fails both
+        raise DomainError("hardy mean requires finite p > 0")
     coeffs = f.coefficients
     us = np.asarray(us, dtype=float)
-    if p <= 0:
-        raise DomainError("hardy mean requires p > 0")
-    if p == 2:
+    means = [None] * len(ps)                     # the last means of each p
+    per_p = [{"method": "parseval"} for _ in ps]
+    last = {"method": "parseval"}
+    if 2.0 in ps:
         mags = np.abs(coeffs) ** 2
         nz = np.nonzero(mags)[0]
         # only nonzero coefficients enter (sparse gap series can have huge degree)
-        vals = _power_matrix(us, nz, factor=2.0) @ mags[nz] \
+        vals = np.sqrt(_power_matrix(us, nz, factor=2.0) @ mags[nz]) \
             if len(nz) else np.zeros(len(us))
-        return np.sqrt(vals), {"method": "parseval"}
+        means = [vals if q == 2 else None for q in ps]
 
-    d = len(coeffs) - 1
-    n = 2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, int(math.ceil(math.log2(max(2 * d + 2, 4))))))
-    scaled = _scaled_coefficients(coeffs, us)
-    prev = None
-    while True:
-        mods, weights = _circle_moduli(scaled, n)
-        vals = (mods ** p @ weights) ** (1.0 / p)
-        if prev is not None:
-            err = np.max(np.abs(vals - prev) / (np.abs(vals) + 1e-300))
-            if err < rel_tol:
-                return vals, {"nodes": n, "last_increment": float(err)}
-        if n >= 2 ** _N_CAP_LOG2:
-            return vals, {"nodes": n, "capped": True,
-                          "last_increment": float(err) if prev is not None else math.nan}
-        prev = vals
+    running = [k for k, q in enumerate(ps) if q != 2]
+    if running:                      # 2d + 2 = 2 len(coeffs) sets the first N
+        n = 2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, math.ceil(math.log2(2 * len(coeffs)))))
+        scaled, sums = _scaled_coefficients(coeffs, us), np.empty((len(ps), len(us)))
+    while running:
+        rows = max(1, _BLOCK_SAMPLES // n)
+        for lo in range(0, len(us), rows):
+            mods, weights = _circle_moduli(scaled[lo:lo + rows], n)
+            for k in running:
+                # one dot product per row: the block size cannot move bits
+                np.vecdot(mods ** ps[k], weights, out=sums[k, lo:lo + rows])
+        for k in running[:]:
+            vals, prev = sums[k] ** (1.0 / ps[k]), means[k]
+            err = math.nan if prev is None else \
+                float((np.abs(vals - prev) / (np.abs(vals) + 1e-300)).max())
+            means[k] = vals
+            if err < rel_tol or n >= 2 ** _N_CAP_LOG2:
+                per_p[k] = last = {"nodes": n, "last_increment": err,
+                                   "capped": not err < rel_tol}
+                running.remove(k)
         n *= 2
+    # p stop in order of N, so the last one to stop sampled the most
+    diag = dict(last, capped=any(dk.get("capped") for dk in per_p), per_p=per_p)
+    return (means[0] if scalar else np.array(means)), diag
 
 
 def hardy_mean(f, p, r, rel_tol=1e-9):
     """Circle p-mean M_p(r, f).  r = 1 is allowed (polynomials only)."""
     if not 0.0 <= r <= 1.0:
         raise DomainError("hardy mean radius must lie in [0, 1]")
-    vals, _ = hardy_means_u(f, p, np.array([1.0 - r]), rel_tol=rel_tol)
-    return float(vals[0])
+    return float(hardy_means_u(f, p, np.array([1.0 - r]), rel_tol=rel_tol)[0][0])
 
 
 def m_infinity_u(f, us, rel_tol=1e-6):
     """Grid maxima of |f| on circles (certified lower bounds of M_inf)."""
     coeffs = f.coefficients
     us = np.asarray(us, dtype=float)
-    if np.isrealobj(coeffs.real) and np.all(coeffs.imag == 0) and np.all(coeffs.real >= 0):
+    if np.all(coeffs.imag == 0) and np.all(coeffs.real >= 0):
         # triangle equality: the maximum sits at theta = 0 and equals f(r)
         nz = np.nonzero(coeffs.real)[0]
         if len(nz) == 0:
@@ -399,8 +417,8 @@ def bergman_norm(f, p, w):
     p = 2 with a closed-tail weight reduces to the exact coefficient sum
     2 sum |a_k|^2 omega_k via the radial moments.
     """
-    if p <= 0:
-        raise DomainError("bergman norm requires p > 0")
+    if not 0 < p < math.inf:
+        raise DomainError("bergman norm requires finite p > 0")
     if p == 2:
         c = f.coefficients
         mags = np.abs(c) ** 2
@@ -427,17 +445,13 @@ def mixed_norm(f, p, q, w, gamma=0.0):
     convention, deliberately distinct from the area convention of
     bergman_norm.
     """
-    if q <= 0:
-        raise DomainError("mixed norm requires q > 0")
-    if gamma < 0:
+    if not 0 < q < math.inf:
+        raise DomainError("mixed norm requires finite q > 0")
+    if not gamma >= 0:
         raise DomainError("mixed norm requires gamma >= 0")
 
     def gfn(u):
-        if p == math.inf:
-            vals, _ = m_infinity_u(f, u)
-        else:
-            vals, _ = hardy_means_u(f, p, u)
-        return vals ** q
+        return (m_infinity_u(f, u) if p == math.inf else hardy_means_u(f, p, u))[0] ** q
 
     val, diag = weighted_radial_integral(gfn, w, gamma=gamma)
     return finite(val ** (1.0 / q), method="quadrature", **diag)
@@ -449,11 +463,7 @@ _SUP_GRID = geometric_u_grid(40, 4)
 def mixed_norm_sup(f, p, w, beta=0.0, gamma=0.0):
     """sup over r of M_p(r, f) (1-r)^gamma what(r)^beta on the geometric grid."""
     us = _SUP_GRID
-    if p == math.inf:
-        means, _ = m_infinity_u(f, us)
-    else:
-        means, _ = hardy_means_u(f, p, us)
-    vals = means
+    vals = (m_infinity_u(f, us) if p == math.inf else hardy_means_u(f, p, us))[0]
     if gamma:
         vals = vals * us ** gamma
     if beta:

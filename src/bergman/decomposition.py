@@ -38,6 +38,9 @@ _MARK_CAP = 2 ** 31
 #: relative distance at which 1/u_n counts as a near-integer tie
 _TIE_TOL = 1e-9
 
+#: largest log-log slope of b_k that lacunary_sup_test reads as bounded
+_SLOPE_TOL = 0.2
+
 
 def _solve_radius_u(w, target):
     """Solve tail(w, 1-u) = target for u in (0, 1], by bisection in log u.
@@ -370,14 +373,14 @@ def lacunary_norm(coeffs, exponents, q, w, gap=1.05):
     return finite(s, method="truncation", terms=len(exps), lacunary=ok)
 
 
-def lacunary_sup_test(coeffs, exponents, w, beta, slope_tol=0.2):
+def lacunary_sup_test(coeffs, exponents, w, beta):
     """Coefficient criterion |a_k| <= C (integral of r^(n_k) omega)^(-beta).
 
     Computes b_k = |a_k| * moment_plain(n_k)^beta; the series belongs to
     the corresponding sup-norm space iff b_k stays bounded.  A finite
     sample cannot see boundedness directly, so membership is decided by
     the trend: the fitted log-log slope of b_k over the second half of the
-    indices must not exceed ``slope_tol``.  Returns (member, margin) with
+    indices must not exceed ``_SLOPE_TOL``.  Returns (member, margin) with
     margin = max_k b_k.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -392,4 +395,4 @@ def lacunary_sup_test(coeffs, exponents, w, beta, slope_tol=0.2):
         return True, margin
     half = nz[len(nz) // 2:]
     slope = np.polyfit(np.log(half + 1.0), np.log(b[half]), 1)[0]
-    return bool(slope <= slope_tol), margin
+    return bool(slope <= _SLOPE_TOL), margin

@@ -206,7 +206,7 @@ def integrate_geometric_vec(f, u_hi):
     return total
 
 
-def geometric_u_grid(j_max=40, per_level=4):
+def geometric_u_grid(j_max, per_level):
     """Diagnostic grid u_i = 2^{-(j + i/per_level)}, descending from 1.
 
     Covers r = 1 - u from 0 up to 1 - 2^{-j_max} with ``per_level`` points

@@ -444,9 +444,29 @@ def _th_gorro(config):
     return _finish(rep, window, t0, expect="divergence")
 
 
-def _hilbert_norm_general(phi, edge, p, w, k_max=2 ** 14):
-    mu = ops.moments_profile(phi, k_max, t_min=edge)
+#: moments of a phi_r profile that the general-p TH-GORRO norm keeps
+_GORRO_K_MAX = 2 ** 14
+
+
+def _hilbert_norm_general(phi, edge, p, w):
+    mu = ops.moments_profile(phi, _GORRO_K_MAX, t_min=edge)
     return float(bergman_norm(AnalyticFunction(mu), p, w))
+
+
+def _areas(f, cols, mean_tol):
+    """2 x integral of M_p^p(r, f) w(r) r dr for each (p, w) in ``cols`` (p != 2).
+
+    One radial integral: each chunk samples the circles once for every p.
+    """
+    ps = list(dict.fromkeys(p for p, _ in cols))
+
+    def gfn(u):
+        means = hardy_means_u(f, ps, u, rel_tol=mean_tol)[0]
+        powers = {p: m ** p for m, p in zip(means, ps)}
+        return np.array([powers[p] for p, _ in cols])
+
+    return 2.0 * weighted_radial_integral(gfn, [w for _, w in cols], include_r=True,
+                                          rel_tol=1e-7)[0] if cols else []
 
 
 def _cor_hilb(config):
@@ -457,27 +477,24 @@ def _cor_hilb(config):
     window = cfg.get("window", default_windows()["COR-HILB"])
     w = named_weight(cfg["weight"])
 
-    # relaxed-tolerance p-norm: the spread window is orders of magnitude
+    # relaxed-tolerance p-norms: the spread window is orders of magnitude
     # wider than six-digit norms, and the images carry thousands of
     # coefficients, so chasing 1e-11 here would dominate the runtime
-    def pnorm(f, p):
-        if p == 2:
-            return float(bergman_norm(f, p, w))
+    cols = [(p, w) for p in cfg["ps"] if p != 2]
 
-        def gfn(u):
-            return hardy_means_u(f, p, u, rel_tol=1e-6)[0] ** p
+    def pnorms(f):
+        areas = iter(_areas(f, cols, 1e-6))
+        return [float(bergman_norm(f, p, w)) if p == 2
+                else float(next(areas) ** (1.0 / p)) for p in cfg["ps"]]
 
-        val, _ = weighted_radial_integral(gfn, w, include_r=True, rel_tol=1e-7)
-        return float((2.0 * val) ** (1.0 / p))
-
-    for p in cfg["ps"]:
-        for i in range(cfg["count"]):
-            f = random_function(cfg["degree"], cfg["seed"] + i, dist="unit")
-            img = ops.apply_classical(f, 2048)
-            lhs = pnorm(img, p)
-            rhs = pnorm(f, p)
+    norms = []
+    for i in range(cfg["count"]):
+        f = random_function(cfg["degree"], cfg["seed"] + i, dist="unit")
+        norms.append((pnorms(ops.apply_classical(f, 2048)), pnorms(f)))
+    for k, p in enumerate(cfg["ps"]):
+        for i, (lhs, rhs) in enumerate(norms):
             rep.cases.append(_case("p%g|s%02d" % (p, i), {"p": p, "i": i},
-                                   lhs, rhs))
+                                   lhs[k], rhs[k]))
     return _finish(rep, window, t0)
 
 
@@ -688,6 +705,7 @@ def _ineq_minfty(config):
     # and the circle maxima / p-means are computed once per node block
     cols = [(i, wname, p) for i, (wname, _) in enumerate(pairs) for p in cfg["ps"]]
     hats = [hat_weight(w) for w in bases]
+    area_keys = [(p, i) for p in cfg["ps"] if p != 2 for i in range(len(bases))]
     for label, f in fns:
         def minf_powers(u, f=f):
             # grid maxima are certified lower bounds, so a loose
@@ -698,15 +716,13 @@ def _ineq_minfty(config):
 
         lhs_vals, _ = weighted_radial_integral(
             minf_powers, [hats[i] for i, _, _ in cols], rel_tol=1e-8)
-        areas = {p: weighted_radial_integral(
-            lambda u, f=f, p=p: hardy_means_u(f, p, u, rel_tol=1e-5)[0] ** p,
-            bases, include_r=True, rel_tol=1e-7)[0]
-            for p in cfg["ps"] if p != 2}
+        areas = dict(zip(area_keys, _areas(
+            f, [(p, bases[i]) for p, i in area_keys], 1e-5)))
         for (i, wname, p), lhs in zip(cols, lhs_vals):
             if p == 2:
                 rhs = half_pi * float(bergman_norm(f, p, bases[i])) ** p
             else:
-                rhs = half_pi * 2.0 * areas[p][i]
+                rhs = half_pi * areas[p, i]
             ok = lhs <= rhs * (1.0 + 1e-9)
             worst = max(worst, lhs / rhs)
             rep.cases.append(_case("%s|p%g|%s" % (wname, p, label),

@@ -93,10 +93,6 @@ class RadialWeight:
     # -- evaluation ---------------------------------------------------------
 
     @property
-    def has_closed_tail(self):
-        return self._tail_u is not None
-
-    @property
     def has_closed_moments(self):
         return self._moment_closed is not None
 
@@ -651,6 +647,9 @@ class WeightClassification:
 #: a regular weight must keep psi/(1-r) within this dynamic range on the grid
 _REGULAR_SPREAD_BOUND = 50.0
 
+#: the deep dyadic levels whose tail ratios give tail_exponent
+_TAIL_LEVELS = (38, 39, 40)
+
 
 def classify(w):
     """Classify a weight as Regular / RapidlyIncreasing / Undetermined.
@@ -693,10 +692,10 @@ def _fit_exponents(w, us):
     return (float(np.min(slopes)), float(np.max(slopes)))
 
 
-def tail_exponent(w, levels=(38, 39, 40)):
+def tail_exponent(w):
     """Local power exponent of what near r = 1 on deep dyadic levels."""
     slopes = []
-    for j in levels:
+    for j in _TAIL_LEVELS:
         t1 = float(w.tail_u(2.0 ** -j))
         t2 = float(w.tail_u(2.0 ** -(j + 1)))
         slopes.append(math.log(t1 / t2) / math.log(2.0))

@@ -16,7 +16,7 @@ from bergman.analytic import (AnalyticFunction, bergman_norm, binomial_kernel,
 from bergman.errors import DomainError
 from bergman.operators import apply_classical
 from bergman.quadrature import _NODES
-from bergman.weights import const_weight, moment_radial
+from bergman.weights import const_weight, moment_radial, std_weight
 
 # round to avoid coefficients so tiny that |f|^p underflows to zero
 coeff_lists = st.lists(st.floats(min_value=-2.0, max_value=2.0)
@@ -159,12 +159,67 @@ def test_hardy_means_node_count_pinned():
     # polynomial under the classical Hilbert operator, on the 128 radii of
     # the first eight quadrature levels, at p = 3.  The node sequence must
     # not grow silently; 16384 is what every earlier engine used.
-    img = apply_classical(random_function(128, 5, dist="unit"), 2048)
-    his = 2.0 ** -np.arange(8)
-    us = (0.75 * his[:, None] + 0.25 * his[:, None] * _NODES[None, :]).ravel()
+    img, us = _cor_hilb_chunk()
     assert len(us) == 128 and img.degree == 2048
     _, diag = hardy_means_u(img, 3.0, us, rel_tol=1e-6)
     assert diag["nodes"] == 16384
+
+
+def _cor_hilb_chunk():
+    # the degree-2048 COR-HILB image on the 128 radii of the first eight
+    # quadrature levels: 16384 nodes, so the default budget splits it
+    img = apply_classical(random_function(128, 5, dist="unit"), 2048)
+    his = 2.0 ** -np.arange(8)
+    return img, (0.75 * his[:, None] + 0.25 * his[:, None] * _NODES[None, :]).ravel()
+
+
+def test_hardy_means_vector_equals_scalar_calls():
+    # each p of a vector call stops at its own N with its scalar call's
+    # bits, also when the p stop at different N and with a Parseval entry
+    f = random_function(128, 5, dist="unit")
+    us = np.array([0.05, 0.01, 1e-3, 0.0])
+    for ps in ([1.5, 2.0, 3.0], [3.0, 1.5]):
+        vals, diag = hardy_means_u(f, ps, us, rel_tol=1e-6)
+        assert vals.shape == (len(ps), len(us))
+        for k, p in enumerate(ps):
+            one, d_one = hardy_means_u(f, p, us, rel_tol=1e-6)
+            assert np.array_equal(vals[k], one)
+            mine = diag["per_p"][k]
+            assert mine.get("nodes") == d_one.get("nodes")
+            assert mine.get("last_increment") == d_one.get("last_increment")
+        nodes = {p: d.get("nodes") for p, d in zip(ps, diag["per_p"])}
+        assert nodes[1.5] == 16384 and nodes[3.0] == 4096
+        assert diag["nodes"] == 16384 and diag["capped"] is False
+
+
+def test_hardy_means_blocks_do_not_move_bits(monkeypatch):
+    # the row-block budget changes memory, never values: one row per block
+    # and all rows in one block agree with the default bit for bit
+    import bergman.analytic as analytic
+    img, us = _cor_hilb_chunk()
+    ref, d_ref = hardy_means_u(img, [1.5, 3.0], us, rel_tol=1e-6)
+    assert d_ref["nodes"] * len(us) > analytic._BLOCK_SAMPLES
+    for budget in (1, 2 ** 40):
+        monkeypatch.setattr(analytic, "_BLOCK_SAMPLES", budget)
+        vals, diag = hardy_means_u(img, [1.5, 3.0], us, rel_tol=1e-6)
+        assert np.array_equal(vals, ref) and diag == d_ref
+
+
+def test_hardy_means_vector_capped_per_p():
+    # a sparse series of degree > 2^18: both sampled p cap, Parseval does not
+    c = np.zeros(2 ** 18 + 6)
+    c[0] = c[-1] = 1.0
+    _, diag = hardy_means_u(AnalyticFunction(c), [1.5, 2.0, 3.0], np.array([1e-7]))
+    assert diag["capped"] is True and diag["nodes"] == 2 ** 18
+    assert [d.get("capped") for d in diag["per_p"]] == [True, None, True]
+    assert diag["per_p"][1] == {"method": "parseval"}
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                               [1.5, math.nan], [math.inf, 3.0]])
+def test_hardy_means_reject_non_finite_p(p):
+    with pytest.raises(DomainError):
+        hardy_means_u(AnalyticFunction([1.0, 2.0, 3.0]), p, np.array([0.5]))
 
 
 # --------------------------------------------------------------------------
@@ -177,6 +232,41 @@ def test_bergman_norm_monomial_moment(w_std_m05):
         expect = math.sqrt(2.0 * moment_radial(w_std_m05, n))
         assert float(bergman_norm(f, 2, w_std_m05)) == pytest.approx(
             expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.0])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_bergman_norm_monomial_beta_oracle(alpha, p):
+    # ||z^n||^p on std(alpha) = 2 int_0^1 r^(np+1) (1-r^2)^alpha dr
+    # = B(np/2 + 1, alpha + 1), in mpmath: an oracle apart from the moments
+    mpmath = pytest.importorskip("mpmath")
+    w = std_weight(alpha)
+    for n in (1, 7, 64):
+        f = AnalyticFunction(np.eye(1, n + 1, n)[0])
+        with mpmath.workdps(30):
+            expect = float(mpmath.beta(mpmath.mpf(n) * p / 2 + 1, alpha + 1))
+        assert float(bergman_norm(f, p, w)) ** p == pytest.approx(expect, rel=2e-9)
+
+
+@pytest.mark.parametrize("kwargs", [{"q": math.nan}, {"q": math.inf},
+                                    {"q": 0.0}, {"gamma": math.nan},
+                                    {"gamma": -0.5}])
+def test_mixed_norm_rejects_bad_q_and_gamma(w_std_m05, kwargs):
+    args = {"q": 2.0, "gamma": 0.0, **kwargs}
+    with pytest.raises(DomainError):
+        mixed_norm(AnalyticFunction([1.0, 2.0, 3.0]), 1.5, args["q"], w_std_m05,
+                   gamma=args["gamma"])
+
+
+def test_mixed_norms_keep_p_infinity(w_std_m05):
+    # p = inf is the M_inf path; nonnegative coefficients make M_inf(r, f) =
+    # f(r), which grows to f(1) = 6 at the end of the sup grid
+    f = AnalyticFunction([1.0, 2.0, 3.0])
+    assert float(mixed_norm_sup(f, math.inf, w_std_m05)) == pytest.approx(6.0, rel=1e-9)
+    assert math.isfinite(float(mixed_norm(f, math.inf, 2.0, w_std_m05)))
+    for p in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bergman_norm(f, p, w_std_m05)
 
 
 def test_mixed_norm_p2_coefficient_sum(w_linear, small_corpus):

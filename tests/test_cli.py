@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -134,6 +135,22 @@ def test_norms_battery(capsys):
                     "--weight", "std(alpha=-0.5)", "--p", "2", "--q", "2")
     assert code == 0
     assert "bergman" in out or "norm" in out
+
+
+@pytest.mark.parametrize("option", [("--p", "nan"), ("--p", "inf"),
+                                    ("--q", "nan"), ("--q", "inf"),
+                                    ("--gamma", "nan")])
+def test_norms_rejects_non_finite_exponents(capsys, option):
+    # a NaN p once sampled up to the node cap at every radius, and an
+    # infinite p or q printed 1.0; each must be one error line, fast
+    t0 = time.monotonic()
+    code = main(["norms", "--f", "poly(1,2,3)", "--weight", "std(alpha=0.5)",
+                 *option])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_usage_error_exit_two(capsys):
