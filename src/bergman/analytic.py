@@ -2,9 +2,11 @@
 
 Functions are finite coefficient lists.  Circle means M_p(r, f) are
 computed by uniform sampling at the N-th roots of unity via the FFT,
-doubling N until the p-mean stabilizes.  One call serves several p: the
-moduli at each N are computed once, in blocks of radii that bound the FFT
-temporaries, and each p stops on its own.  The scaled coefficients c_k r^k
+doubling N until the p-mean stabilizes.  One doubling loop serves several
+p and many coefficient rows: the radii of one function, which stop
+together, or the blocks of a decomposition on the unit circle, each
+stopping on its own.  The moduli at each N are computed once, in row
+blocks that bound the FFT temporaries.  The scaled coefficients c_k r^k
 are built once per call, for all radii at once.  Sampling a degree-d
 polynomial at N points is the DFT of that row folded modulo N, exact for
 every N; the FFT zero-pads the row itself, so the fold happens only when
@@ -181,7 +183,7 @@ def parse_function_spec(text):
 _N_START_LOG2 = 7
 _N_CAP_LOG2 = 18
 #: circle samples (radii x N) per FFT block, which bounds the temporaries
-_BLOCK_SAMPLES = 2 ** 18
+_BLOCK_SAMPLES = 2 ** 16
 
 
 def _power_matrix(us, ks, factor=1.0):
@@ -189,7 +191,9 @@ def _power_matrix(us, ks, factor=1.0):
     us = np.asarray(us, dtype=float)
     ks = np.asarray(ks, dtype=float)
     at_zero = us >= 1.0              # r = 0: rows set below, log1p(0) meanwhile
-    mat = np.exp(factor * (np.log1p(-np.where(at_zero, 0.0, us))[:, None] * ks))
+    mat = np.log1p(-np.where(at_zero, 0.0, us))[:, None] * ks
+    mat *= factor
+    np.exp(mat, out=mat)
     if at_zero.any():
         mat[at_zero] = np.where(ks == 0, 1.0, 0.0)
     return mat
@@ -202,9 +206,11 @@ def _scaled_coefficients(coeffs, us):
     samples can use the half-spectrum real FFT.  Radial factors come from
     u through log1p, so radii within double rounding of 1 lose no precision.
     """
-    if not coeffs.imag.any():
-        coeffs = coeffs.real
-    return coeffs[None, :] * _power_matrix(us, np.arange(len(coeffs)))
+    mat = _power_matrix(us, np.arange(len(coeffs)))
+    if coeffs.imag.any():
+        return coeffs[None, :] * mat
+    mat *= coeffs.real
+    return mat
 
 
 def _circle_moduli(scaled, n):
@@ -233,6 +239,55 @@ def _circle_moduli(scaled, n):
     return mods, weights
 
 
+def _doubling_means(scaled, lengths, together, ps, rel_tol):
+    """Circle p-means of the rows ``scaled``, shape (len(ps), rows), and
+    diags[k][g] (``nodes``, ``last_increment``, ``capped``) of ps[k] in
+    stop group g: all rows ``together`` (the radii of one function) or each
+    row alone, lengths[g] coefficients long.  A group starts at the least
+    power of two >= 2 length in [2^7, 2^18] nodes, doubling until a p's
+    successive means agree to ``rel_tol`` on all its rows, or N is 2^18.
+    Moduli are computed once per N, in blocks of <= ``_BLOCK_SAMPLES``
+    samples with one dot product per row: no other row moves a row's bits.
+    """
+    starts = [2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, (2 * m - 1).bit_length()))
+              for m in lengths]
+    todo = [set(range(len(lengths))) for _ in ps]      # the groups each p runs
+    means, sums = np.full((2, len(ps), len(scaled)), math.nan)
+    diags = [[None] * len(lengths) for _ in ps]
+    n, live = 0, list(range(len(lengths)))
+    while live:
+        n = max(2 * n, min(starts[g] for g in live))
+        now = [g for g in live if starts[g] <= n]       # the groups sampled at n
+        rows = range(len(scaled)) if together else now
+        # only a row that starts at the cap is longer than n (and is folded)
+        cols = scaled if n >= 2 ** _N_CAP_LOG2 else scaled[:, :n]
+        block = max(1, _BLOCK_SAMPLES // n)
+        for lo in range(0, len(rows), block):
+            ids = rows[lo:lo + block]
+            sel = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else ids
+            mods, weights = _circle_moduli(cols[sel], n)
+            for k, p in enumerate(ps):
+                use = [0 in todo[k]] if together else [i in todo[k] for i in ids]
+                if all(use):
+                    sums[k, sel] = np.vecdot(mods ** p, weights)
+                elif any(use):
+                    sums[k, np.array(ids)[use]] = np.vecdot(mods[use] ** p, weights)
+        for k, p in enumerate(ps):
+            # rows not sampled for p at n repeat their means (NaN before their
+            # first N, where errs are NaN too); no group reads them
+            vals = sums[k] ** (1.0 / p)
+            errs = np.abs(vals - means[k]) / (np.abs(vals) + 1e-300)
+            means[k] = vals
+            errs = [float(errs.max())] if together else errs.tolist()
+            for g in [g for g in now if g in todo[k]]:
+                if errs[g] < rel_tol or n >= 2 ** _N_CAP_LOG2:
+                    diags[k][g] = {"nodes": n, "last_increment": errs[g],
+                                   "capped": not errs[g] < rel_tol}
+                    todo[k].discard(g)
+        live = sorted(set().union(*todo))
+    return means, diags
+
+
 def hardy_means_u(f, p, us, rel_tol=1e-9):
     """M_p(1-u, f) for every u in ``us``, for one p or a sequence of p.
 
@@ -240,10 +295,9 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
     (len(p), len(us)) for a sequence; each p must be finite and > 0.  p = 2
     is exact (Parseval).  Otherwise N nodes per circle, from the least power
     of two >= 2d + 2 in [2^7, 2^18], doubling until a p's successive means
-    agree to ``rel_tol`` or N reaches 2^18.  The moduli at each N are
-    computed once, in blocks of <= ``_BLOCK_SAMPLES`` samples, for every p
-    still running, so each p stops at its own call's N with its bits.  One
-    ``diag``: the ``method`` or the full-circle ``nodes`` and
+    agree to ``rel_tol`` or N reaches 2^18 (``_doubling_means``, with every
+    radius in one stop group), so each p stops at its own call's N with its
+    bits.  One ``diag``: the ``method`` or the full-circle ``nodes`` and
     ``last_increment`` of the p that sampled most, ``capped`` if any p hit
     2^18, and each p's own in ``per_p``.
     """
@@ -253,41 +307,24 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
         raise DomainError("hardy mean requires finite p > 0")
     coeffs = f.coefficients
     us = np.asarray(us, dtype=float)
-    means = [None] * len(ps)                     # the last means of each p
+    means = np.empty((len(ps), len(us)))
     per_p = [{"method": "parseval"} for _ in ps]
-    last = {"method": "parseval"}
     if 2.0 in ps:
         mags = np.abs(coeffs) ** 2
         nz = np.nonzero(mags)[0]
         # only nonzero coefficients enter (sparse gap series can have huge degree)
-        vals = np.sqrt(_power_matrix(us, nz, factor=2.0) @ mags[nz]) \
-            if len(nz) else np.zeros(len(us))
-        means = [vals if q == 2 else None for q in ps]
-
-    running = [k for k, q in enumerate(ps) if q != 2]
-    if running:                      # 2d + 2 = 2 len(coeffs) sets the first N
-        n = 2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, math.ceil(math.log2(2 * len(coeffs)))))
-        scaled, sums = _scaled_coefficients(coeffs, us), np.empty((len(ps), len(us)))
-    while running:
-        rows = max(1, _BLOCK_SAMPLES // n)
-        for lo in range(0, len(us), rows):
-            mods, weights = _circle_moduli(scaled[lo:lo + rows], n)
-            for k in running:
-                # one dot product per row: the block size cannot move bits
-                np.vecdot(mods ** ps[k], weights, out=sums[k, lo:lo + rows])
-        for k in running[:]:
-            vals, prev = sums[k] ** (1.0 / ps[k]), means[k]
-            err = math.nan if prev is None else \
-                float((np.abs(vals - prev) / (np.abs(vals) + 1e-300)).max())
-            means[k] = vals
-            if err < rel_tol or n >= 2 ** _N_CAP_LOG2:
-                per_p[k] = last = {"nodes": n, "last_increment": err,
-                                   "capped": not err < rel_tol}
-                running.remove(k)
-        n *= 2
-    # p stop in order of N, so the last one to stop sampled the most
+        means[[q == 2 for q in ps]] = np.sqrt(_power_matrix(us, nz, factor=2.0) @ mags[nz]) \
+            if len(nz) else 0.0
+    odd = [k for k, q in enumerate(ps) if q != 2]
+    if odd:
+        means[odd], diags = _doubling_means(_scaled_coefficients(coeffs, us), [len(coeffs)],
+                                            True, [ps[k] for k in odd], rel_tol)
+        for k, dk in zip(odd, diags):
+            per_p[k] = dk[0]
+    # the p that sampled most (the last of them on ties) speaks for the call
+    last = max(reversed(per_p), key=lambda dk: dk.get("nodes", 0))
     diag = dict(last, capped=any(dk.get("capped") for dk in per_p), per_p=per_p)
-    return (means[0] if scalar else np.array(means)), diag
+    return (means[0] if scalar else means), diag
 
 
 def hardy_mean(f, p, r, rel_tol=1e-9):
@@ -331,6 +368,34 @@ def m_infinity(f, r):
 def hardy_norm_poly(f, p):
     """Hardy norm of a polynomial: M_p(1, f), exact on the circle."""
     return hardy_mean(f, p, 1.0)
+
+
+def _slice_norms(coeffs, bounds, ps):
+    """M_p(1, coeffs[lo:hi]) for (lo, hi) in ``bounds`` (each slice ending
+    in a nonzero coefficient) and every p, with the nodes (0 for p = 2) and
+    whether they capped, each shape (len(ps), slices).  hardy_norm_poly of
+    the slice bit for bit: p = 2 by its Parseval sum (all-ones powers at
+    r = 1), other p in one ``_doubling_means`` loop per FFT kind it takes.
+    """
+    vals, nodes, capped = np.zeros((3, len(ps), len(bounds)))
+    if 2.0 in ps:
+        mags, ones = np.abs(coeffs) ** 2, np.ones(len(coeffs))
+        nonzero = (mags[lo:hi][mags[lo:hi] != 0] for lo, hi in bounds)  # Parseval's terms
+        vals[[p == 2 for p in ps]] = [math.sqrt(np.dot(m, ones[:len(m)])) for m in nonzero]
+    odd = [k for k, p in enumerate(ps) if p != 2]
+    real = [not coeffs.imag[lo:hi].any() for lo, hi in bounds]
+    for kind, src in ((True, coeffs.real), (False, coeffs)):
+        ids = [j for j, r in enumerate(real) if r is kind]
+        if odd and ids:
+            lengths = [bounds[j][1] - bounds[j][0] for j in ids]
+            mat = np.zeros((len(ids), max(lengths)), dtype=src.dtype)
+            for row, (lo, hi) in zip(mat, [bounds[j] for j in ids]):
+                row[:hi - lo] = src[lo:hi]
+            means, diags = _doubling_means(mat, lengths, False, [ps[k] for k in odd], 1e-9)
+            for k, mk, dk in zip(odd, means, diags):
+                vals[k, ids] = mk
+                nodes[k, ids], capped[k, ids] = zip(*[(d["nodes"], d["capped"]) for d in dk])
+    return vals, nodes.astype(int), capped.astype(bool)
 
 
 # ---------------------------------------------------------------------------

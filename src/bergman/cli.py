@@ -77,15 +77,11 @@ def _cmd_weights_inspect(args):
 def _cmd_decompose(args):
     w = parse_weight(args.weight).normalized()
     part = dec.partition(w, args.alpha, args.max_degree)
-    f = parse_function_spec(args.f) if args.f else None
+    norms = dec.block_hardy_norms(parse_function_spec(args.f), [args.p], part)[0][0] \
+        if args.f else [0.0] * part.block_count
     lines = ["n,r_n,M_n,block_lo,block_hi,block_Hp_norm,weight,contribution"]
-    for n in range(part.block_count):
-        lo = 0 if n == 0 else part.marks[n]
-        hi = part.marks[n + 1]
-        if f is not None:
-            norm = hardy_norm_poly(dec.block(f, part, n), args.p)
-        else:
-            norm = 0.0
+    for n, (lo, hi) in enumerate(part.blocks()):
+        norm = float(norms[n])
         wt = 2.0 ** (-n * part.alpha)
         contribution = wt * norm ** args.q
         lines.append(("%d," + _F + ",%d,%d,%d," + _F + "," + _F + "," + _F)

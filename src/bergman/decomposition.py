@@ -16,7 +16,8 @@ with weighted l^q sums of the Hardy norms of its blocks,
 
 together with a gamma-weighted variant for derivatives, a block growth
 criterion for membership in the Lipschitz-type symbol class and
-omega-lacunary gap tests.
+omega-lacunary gap tests.  The Hardy norms of all blocks, for every p
+asked, come from one batched circle-mean call per function and partition.
 
 All radii are stored and solved in the variable u = 1 - r, which keeps
 full relative precision as r_n crowds toward 1 (for rapidly increasing
@@ -28,9 +29,9 @@ import warnings
 
 import numpy as np
 
-from .analytic import AnalyticFunction, hardy_norm_poly
+from .analytic import AnalyticFunction, _slice_norms
 from .errors import DomainError
-from .results import finite
+from .results import finite, undetermined
 
 #: marks above this are not materialized as integer blocks
 _MARK_CAP = 2 ** 31
@@ -243,45 +244,60 @@ def block(f, part, n):
     return AnalyticFunction(c if len(c) else [0.0])
 
 
-def _block_hardy_norms(f, p, part):
-    """||Delta_n f||_{H^p} for every block, skipping all-zero blocks.
-
-    Hardy means on the circle are invariant under the coefficient shift
-    z^(-M_n), so each block is evaluated as a polynomial of its own length
-    rather than at its true degree offset.
+def block_hardy_norms(f, ps, part):
+    """(norms, nodes, capped) of the blocks Delta_n f for every p in ``ps``,
+    each of shape (len(ps), blocks): ||Delta_n f||_{H^p}, the circle nodes
+    used (0 for p = 2 and for zero blocks) and whether they hit the 2^18
+    cap.  Circle means are invariant under the shift z^(-M_n), so each block
+    is a polynomial of its own length; all blocks and p take one batched
+    call, equal to hardy_norm_poly of each block's slice bit for bit.
     """
+    ps = [float(p) for p in ps]
+    if not all(0 < p < math.inf for p in ps):       # NaN fails both
+        raise DomainError("hardy mean requires finite p > 0")
     if f.degree > part.covered_degree:
         raise DomainError("function degree %d exceeds partition coverage %d"
                           % (f.degree, part.covered_degree))
-    coeffs = f.coefficients
-    norms = np.zeros(part.block_count)
-    for n, (lo, hi) in enumerate(part.blocks()):
-        top = min(hi, len(coeffs))
-        if lo >= top:
-            continue
-        sl = coeffs[lo:top]
-        if not np.any(sl):
-            continue
-        norms[n] = hardy_norm_poly(AnalyticFunction(sl), p)
-    return norms
+    # a block ends at its last nonzero coefficient; index -1 (none below hi)
+    # wraps past the block, and a block without one is zero
+    nz = np.nonzero(f.coefficients)[0]
+    last = nz[np.searchsorted(nz, part.marks[1:]) - 1].tolist() if len(nz) else []
+    live = [(n, (lo, top + 1)) for n, ((lo, hi), top) in enumerate(zip(part.blocks(), last))
+            if lo <= top < hi]
+    out = np.zeros((3, len(ps), part.block_count))
+    if live:
+        out[:, :, [n for n, _ in live]] = _slice_norms(f.coefficients, [b for _, b in live], ps)
+    return out[0], out[1].astype(int), out[2].astype(bool)
 
 
 def decomposition_norm(f, p, q, part):
-    """(sum_n 2^(-n alpha q . beta) ... ) — the block l^q norm.
+    """(sum_n 2^(-n alpha) ||Delta_n f||_{H^p}^q)^(1/q), the block l^q norm.
 
-    Computes (sum_n 2^(-n alpha) ||Delta_n f||_{H^p}^q)^(1/q) with exact
-    per-block Hardy norms; equivalent (with weight-dependent constants) to
-    the mixed norm of f against omega with the same (p, q).
+    Exact per-block Hardy norms; equivalent (with weight-dependent
+    constants) to the mixed norm of f against omega with the same (p, q).
+    Equal-length sequences p and q give one value per pair, from one
+    batched ``block_hardy_norms`` call.  The diagnostics carry the largest
+    block ``nodes``; blocks whose nodes hit the 2^18 cap make the value
+    ``undetermined``, listed as ``capped_blocks``.
     """
-    if p <= 1:
-        raise DomainError("decomposition_norm requires p > 1")
-    if q <= 0:
-        raise DomainError("q must be positive")
-    norms = _block_hardy_norms(f, p, part)
-    ns = np.arange(part.block_count)
-    s = float(np.sum(2.0 ** (-ns * part.alpha) * norms ** q))
-    return finite(s ** (1.0 / q), method="truncation",
-                  blocks=part.block_count)
+    scalar = isinstance(p, (int, float, np.number))
+    pairs = [(p, q)] if scalar else list(zip(p, q))
+    if not scalar and len(p) != len(q):
+        raise DomainError("decomposition_norm needs one q per p")
+    if not all(1 < a < math.inf and 0 < b < math.inf for a, b in pairs):
+        raise DomainError("decomposition_norm requires finite p > 1 and q > 0")
+    ps = list(dict.fromkeys(float(a) for a, _ in pairs))
+    norms, nodes, capped = block_hardy_norms(f, ps, part)
+    wts = 2.0 ** (-np.arange(part.block_count) * part.alpha)
+    out = []
+    for a, b in pairs:
+        k = ps.index(float(a))
+        bad = np.nonzero(capped[k])[0].tolist()
+        out.append(undetermined(method="truncation", blocks=part.block_count,
+                                capped_blocks=bad) if bad else
+                   finite(float((wts * norms[k] ** b).sum()) ** (1.0 / b), method="truncation",
+                          blocks=part.block_count, nodes=max(nodes[k].tolist(), default=0)))
+    return out[0] if scalar else out
 
 
 def decomposition_norm_gamma(g, q, p, gamma, part):
@@ -295,7 +311,7 @@ def decomposition_norm_gamma(g, q, p, gamma, part):
         raise DomainError("decomposition_norm_gamma requires q > 1")
     if abs(part.alpha - 1.0) > 1e-12:
         raise DomainError("partition must be built with alpha = 1")
-    norms = _block_hardy_norms(g, q, part)
+    norms = block_hardy_norms(g, [q], part)[0][0]
     ns = np.arange(part.block_count)
     ms = np.array(part.marks[:-1], dtype=float)
     ms[0] = 1.0                                   # block 0 uses M_0 = 1
@@ -314,11 +330,7 @@ def block_criterion_lambda(g, q, p, eta, part):
         raise DomainError("partition must be built with alpha = 1")
     if not 0 <= eta < 1.0 / p:
         raise DomainError("eta must lie in [0, 1/p)")
-    gp = g.derivative()
-    norms = _block_hardy_norms(gp, q, part) if gp.degree <= part.covered_degree \
-        else None
-    if norms is None:
-        raise DomainError("derivative degree exceeds partition coverage")
+    norms = block_hardy_norms(g.derivative(), [q], part)[0][0]
     ns = np.arange(part.block_count)
     ms = np.array(part.marks[:-1], dtype=float)
     ms[0] = 1.0

@@ -206,26 +206,34 @@ def _th_dec(config):
     weights = {wname: named_weight(wname) for wname in cfg["weights"]}
 
     # The mixed norms dominate the cost, and the geometric quadrature nodes
-    # are identical for every weight, so one radial integral per function
-    # runs over all weights and samples each circle once.
+    # are identical for every weight and pair, so one radial integral per
+    # function runs over all (pair, weight) columns and samples each circle
+    # once for every p.
+    pairs = cfg["pairs"]
+    ps = list(dict.fromkeys(p for p, _ in pairs))
     mixed_vals = {}
-    for (p, q) in cfg["pairs"]:
-        for label, f in fns:
-            vals, _ = weighted_radial_integral(
-                lambda u: hardy_means_u(f, p, u, rel_tol=1e-6)[0] ** q,
-                list(weights.values()), rel_tol=1e-8)
-            for wname, val in zip(weights, vals):
+    for label, f in fns:
+        def gfn(u, f=f):
+            means = hardy_means_u(f, ps, u, rel_tol=1e-6)[0]
+            return np.repeat([means[ps.index(p)] ** q for p, q in pairs], len(weights), axis=0)
+
+        vals, _ = weighted_radial_integral(gfn, list(weights.values()) * len(pairs), rel_tol=1e-8)
+        for (p, q), row in zip(pairs, np.reshape(vals, (len(pairs), -1))):
+            for wname, val in zip(weights, row):
                 mixed_vals[(wname, p, q, label)] = float(val ** (1.0 / q))
 
     cell_spreads = {}
     for wname, w in weights.items():
         parts = {a: dec.partition(w, a, cfg["degree"]) for a in cfg["alphas"]}
-        for (p, q) in cfg["pairs"]:
+        # one batched block-norm call per (alpha, f) serves every pair
+        dec_vals = {(a, label): dec.decomposition_norm(f, *zip(*pairs), parts[a])
+                    for a in cfg["alphas"] for label, f in fns}
+        for i, (p, q) in enumerate(pairs):
             mixed = {label: mixed_vals[(wname, p, q, label)] for label, f in fns}
             for a in cfg["alphas"]:
                 ratios = []
                 for label, f in fns:
-                    lhs = float(dec.decomposition_norm(f, p, q, parts[a]))
+                    lhs = float(dec_vals[(a, label)][i])
                     rhs = mixed[label]
                     cid = "%s|p%g-q%g|a%g|%s" % (wname, p, q, a, label)
                     rep.cases.append(_case(cid, {"weight": wname, "p": p,

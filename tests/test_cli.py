@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from bergman.analytic import AnalyticFunction, hardy_norm_poly
 from bergman.cli import main
 
 
@@ -34,6 +35,28 @@ def test_decompose_dyadic_marks(capsys):
     assert code == 0
     marks = [int(row["M_n"]) for row in csv.DictReader(io.StringIO(out))]
     assert marks[:7] == [1, 2, 4, 8, 16, 32, 64]
+
+
+def test_decompose_block_norms_of_own_slices(capsys):
+    # each block's H^3 norm is that of its own coefficient slice (shift
+    # invariance), not of the block at its degree offset
+    c = [1.0, 2.0, 0.0, 0.0, 3.0, -4.0, 5.0, 0.0, 0.5, 0.0, 0.0, 2.0]
+    code, out = run(capsys, "decompose", "--weight", "const(c=1)", "--alpha", "1",
+                    "--max-degree", "40", "--f", "poly(%s)" % ",".join(map(str, c)),
+                    "--p", "3", "--q", "2")
+    assert code == 0
+    for row in csv.DictReader(io.StringIO(out)):
+        sl = c[int(row["block_lo"]):int(row["block_hi"])]
+        want = hardy_norm_poly(AnalyticFunction(sl), 3.0) if any(sl) else 0.0
+        assert row["block_Hp_norm"] == "%.12e" % want
+
+
+def test_decompose_rejects_function_past_coverage(capsys):
+    # the marks 1, 2, 4, 8 cover degree 7: a degree-9 function is an error,
+    # not a silent truncation
+    code, _ = run(capsys, "decompose", "--weight", "const(c=1)", "--alpha", "1",
+                  "--max-degree", "4", "--f", "poly(1,2,3,4,5,6,7,8,9,10)")
+    assert code == 1
 
 
 def test_apply_requires_well_defined(capsys):

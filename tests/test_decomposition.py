@@ -1,18 +1,21 @@
 """Block partitions, decomposition norms, lacunary criteria."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergman.analytic import AnalyticFunction, bergman_norm, log_kernel
+from bergman.analytic import (AnalyticFunction, bergman_norm, hardy_norm_poly,
+                              log_kernel)
 from bergman.decomposition import (block, block_criterion_lambda,
-                                   decomposition_norm,
+                                   block_hardy_norms, decomposition_norm,
                                    decomposition_norm_gamma,
                                    is_omega_lacunary, lacunary_norm,
                                    lacunary_sup_test, partition, radii)
 from bergman.errors import DomainError
-from bergman.weights import pow_weight
+from bergman.weights import const_weight, pow_weight
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,98 @@ def test_blocks_reassemble(part_dyadic):
         b = block(f, part_dyadic, n)
         total[:len(b.coefficients)] += np.real(b.coefficients)
     assert np.allclose(total, f.coefficients)
+
+
+def _blocks_one_by_one(f, p, part):
+    # the reference: one hardy_norm_poly call per nonzero coefficient slice
+    out = []
+    for lo, hi in part.blocks():
+        sl = f.coefficients[lo:hi]
+        out.append(hardy_norm_poly(AnalyticFunction(sl), p) if sl.any() else 0.0)
+    return np.array(out)
+
+
+def _block_corpus():
+    rng = np.random.default_rng(9)
+    real = rng.standard_normal(150)
+    real[32:64] = 0.0                        # block 5 of the dyadic partition is zero
+    cplx = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    cplx[64:128] = cplx[64:128].real         # block 6 is all real: the real FFT
+    return [AnalyticFunction(real), AnalyticFunction(cplx),
+            AnalyticFunction([0.0, 0.0, 0.0, 1.0])]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_block_hardy_norms_equal_single_block_calls(alpha):
+    # every block of every p in one batched call moves no bit against one
+    # hardy_norm_poly call per block; the partitions reach degree 300, so
+    # the tail blocks past each function's degree are empty
+    part = partition(const_weight(1.0), alpha, 300)
+    ps = [1.5, 2.0, 3.0, 4.0]
+    for f in _block_corpus():
+        norms, nodes, capped = block_hardy_norms(f, ps, part)
+        for k, p in enumerate(ps):
+            assert np.array_equal(norms[k], _blocks_one_by_one(f, p, part)), (f, p)
+        assert not capped.any()
+        assert not nodes[1].any() and nodes[[0, 2, 3]].max() >= 128
+    real, cplx, _ = _block_corpus()
+    assert not real.coefficients[32:64].any() and cplx.coefficients[:64].imag.all()
+    assert not cplx.coefficients[64:128].imag.any() and cplx.coefficients[128:].imag.all()
+
+
+def test_decomposition_norm_pairs_equal_scalar_calls():
+    part = partition(pow_weight(1.0).normalized(), 0.5, 300)
+    pairs = [(2.0, 2.0), (2.0, 3.0), (3.0, 1.5), (1.5, 4.0)]
+    for f in _block_corpus():
+        batched = decomposition_norm(f, [p for p, _ in pairs], [q for _, q in pairs], part)
+        for (p, q), got in zip(pairs, batched):
+            want = decomposition_norm(f, p, q, part)
+            assert got.value == want.value and got.diagnostics == want.diagnostics
+    with pytest.raises(DomainError):
+        decomposition_norm(f, [2.0, 3.0], [2.0], part)
+    with pytest.raises(DomainError):
+        decomposition_norm(f, [2.0, math.nan], [2.0, 2.0], part)
+
+
+def test_decomposition_norm_capped_block_is_undetermined():
+    # const weight, alpha = 1: block 17 is [2^17, 2^18) and starts at the
+    # 2^18-node cap, so its p = 3 mean cannot be checked by a doubling
+    part = partition(const_weight(1.0), 1.0, 2 ** 18 - 1)
+    c = np.zeros(2 ** 18)
+    c[1] = c[2 ** 18 - 1] = 1.0
+    f = AnalyticFunction(c)
+    capped = decomposition_norm(f, 3.0, 2.0, part)
+    assert capped.verdict == "undetermined" and math.isnan(capped.value)
+    assert capped.diagnostics["capped_blocks"] == [17]
+    exact = decomposition_norm(f, 2.0, 2.0, part)
+    assert exact.verdict == "finite" and exact.diagnostics["nodes"] == 0
+    assert exact.value == pytest.approx(math.sqrt(1.0 + 2.0 ** -17), rel=1e-14)
+    small = decomposition_norm(AnalyticFunction([1.0, 2.0, 3.0]), 3.0, 2.0, part)
+    assert small.verdict == "finite" and small.diagnostics["nodes"] >= 128
+
+
+def _fsum_m4(c):
+    # M_4(1, g)^4 = M_2(1, g^2)^2 = sum |(g^2)_k|^2 (Parseval of g^2), with
+    # each coefficient of the convolution g^2 summed in fsum
+    n = len(c)
+    sq = [math.fsum(c[i] * c[k - i] for i in range(max(0, k - n + 1), min(k, n - 1) + 1))
+          for k in range(2 * n - 1)]
+    return math.fsum(x * x for x in sq)
+
+
+def test_block_hardy_norms_parseval_oracles():
+    # independent of the FFT: p = 4 through the coefficients of the squared
+    # block, p = 2 through the fsum of |a_k|^2
+    part = partition(const_weight(1.0), 1.0, 300)
+    f = _block_corpus()[0]
+    norms = block_hardy_norms(f, [2.0, 4.0], part)[0]
+    for n, (lo, hi) in enumerate(part.blocks()):
+        c = [float(x) for x in f.coefficients[lo:hi].real]
+        assert norms[0, n] == pytest.approx(math.sqrt(math.fsum(x * x for x in c)), rel=1e-14)
+        if any(c):
+            assert norms[1, n] ** 4 == pytest.approx(_fsum_m4(c), rel=1e-12)
+        else:
+            assert norms[1, n] == 0.0
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=2,
