@@ -5,7 +5,8 @@ Subcommands
 weights inspect   classification, tail exponents, Muckenhoupt verdict
 decompose         block partition (and per-block norms) as CSV; columns
                   n,r_n,M_n,block_lo,block_hi,block_Hp_norm,weight,
-                  contribution are addressed by their header names
+                  contribution are addressed by their header names; a
+                  block norm that hits the circle-node cap is an error
 apply             generalized Hilbert operator coefficients as CSV
 hs                Hilbert-Schmidt partial sums as CSV (to --out if given),
                   then a verdict line on stdout:
@@ -26,6 +27,7 @@ ill-defined operator), 2 usage error.  All floats print as %.12e.
 """
 
 import argparse
+import functools
 import sys
 
 from . import decomposition as dec
@@ -77,8 +79,14 @@ def _cmd_weights_inspect(args):
 def _cmd_decompose(args):
     w = parse_weight(args.weight).normalized()
     part = dec.partition(w, args.alpha, args.max_degree)
-    norms = dec.block_hardy_norms(parse_function_spec(args.f), [args.p], part)[0][0] \
-        if args.f else [0.0] * part.block_count
+    norms = [0.0] * part.block_count
+    if args.f:
+        norms, _, capped = dec.block_hardy_norms(parse_function_spec(args.f), [args.p], part)
+        bad = [n for n, c in enumerate(capped[0]) if c]
+        if bad:
+            raise DomainError("the H^%g norms of blocks %s hit the 2^18 circle-node "
+                              "cap and are undetermined" % (args.p, ",".join(map(str, bad))))
+        norms = norms[0]
     lines = ["n,r_n,M_n,block_lo,block_hi,block_Hp_norm,weight,contribution"]
     for n, (lo, hi) in enumerate(part.blocks()):
         norm = float(norms[n])
@@ -168,7 +176,9 @@ def _cmd_norms(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="bergman",
         description="Hilbert-type operators on weighted Bergman spaces",

@@ -305,13 +305,20 @@ def decomposition_norm_gamma(g, q, p, gamma, part):
 
     Returns the raw sum (not its p-th root): it is the quantity compared
     against the p-th power of the gamma-weighted mixed norm.  At gamma = 0
-    the sum equals decomposition_norm(g, q, p, part)**p.
+    the sum equals decomposition_norm(g, q, p, part)**p.  Blocks whose
+    nodes hit the 2^18 cap make the sum ``undetermined``, listed as
+    ``capped_blocks``.
     """
     if q <= 1:
         raise DomainError("decomposition_norm_gamma requires q > 1")
     if abs(part.alpha - 1.0) > 1e-12:
         raise DomainError("partition must be built with alpha = 1")
-    norms = block_hardy_norms(g, [q], part)[0][0]
+    norms, _, capped = block_hardy_norms(g, [q], part)
+    bad = np.nonzero(capped[0])[0].tolist()
+    if bad:
+        return undetermined(method="truncation", blocks=part.block_count,
+                            capped_blocks=bad)
+    norms = norms[0]
     ns = np.arange(part.block_count)
     ms = np.array(part.marks[:-1], dtype=float)
     ms[0] = 1.0                                   # block 0 uses M_0 = 1

@@ -59,7 +59,8 @@ class RadialWeight:
 
     ``density_u(u)`` evaluates omega(1 - u) (vectorized), ``tail_u(u)``
     evaluates what(1 - u).  A closed-form tail is used when the family
-    admits one; otherwise tails are computed by quadrature and cached.
+    admits one; otherwise tails are computed by quadrature and cached, and
+    an array of points takes one sweep upward from its smallest point.
     ``scale`` is a plain multiplicative factor, so normalization and the
     scale-invariance properties are exact by construction.
     """
@@ -84,7 +85,7 @@ class RadialWeight:
             if tail_u is not None:
                 mass = float(tail_u(1.0))
             else:
-                mass = self._tail_numeric_unscaled(1.0)
+                mass = self._tail_numeric_cached(1.0)
         self._mass = float(mass)
         if not math.isfinite(self._mass) or self._mass <= 0:
             raise DivergentMassError(
@@ -112,7 +113,7 @@ class RadialWeight:
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             return self.scale * self._tail_numeric_cached(float(u))
-        return self.scale * np.array([self._tail_numeric_cached(float(v)) for v in u])
+        return self.scale * self._tail_numeric_many(u.ravel().tolist()).reshape(u.shape)
 
     def tail(self, r):
         return self.tail_u(1.0 - np.asarray(r, dtype=float))
@@ -140,6 +141,25 @@ class RadialWeight:
     def _tail_numeric_unscaled(self, u0):
         return _integrate_endpoint(self._density_u, u0,
                                    f_log=self._density_u_log)
+
+    def _tail_numeric_many(self, us):
+        """Unscaled tails at the floats ``us`` in one sweep.
+
+        The smallest point not yet cached takes the endpoint integral; every
+        larger one adds the adaptive panels from its sorted neighbour below
+        (summing upward), so a grid costs one endpoint integral instead of
+        one per point.  Each value lands in ``_tail_cache``.
+        """
+        new = sorted({v for v in us if 0 < v < math.inf and v not in self._tail_cache})
+        if new:
+            total = self._tail_numeric_unscaled(new[0])
+            self._tail_cache[new[0]] = total
+            h = self._density_u_log or (lambda lu: _density_times_u(self._density_u, np.exp(lu)))
+            lus = np.log(new)
+            for lo, hi, v in zip(lus[:-1], lus[1:], new[1:]):
+                total += _integrate_log_span(h, lo, hi)
+                self._tail_cache[v] = total
+        return np.array([self._tail_numeric_cached(v) for v in us])
 
     # -- derived weights ----------------------------------------------------
 
@@ -209,6 +229,31 @@ class RadialWeight:
         return "RadialWeight(%s(%s)%s)" % (self.family, ps, s)
 
 
+def _density_times_u(f_u, u):
+    """f(u) * u at the nodes u, with the rounding noise of extreme depths zeroed."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.asarray(f_u(u) * u, dtype=float)
+    # at extreme depths u goes subnormal and both u and the density turn
+    # into rounding noise (or inf/nan at exact zero); any integrable density
+    # contributes nothing there, while divergent ones are caught by the
+    # growth test at much shallower levels (u ~ 1e-14).  Densities needing
+    # genuine depth (slow log-type decay) supply f_log instead.
+    bad = (u < 1e-290) | (~np.isfinite(vals) & (u < 1e-30))
+    if np.any(bad):
+        vals = np.where(bad, 0.0, vals)
+    return vals
+
+
+def _integrate_log_span(h, lo, hi):
+    """integral of h(s) ds over [lo, hi] in adaptive panels at most log 2 wide.
+
+    With h(s) = f(e^s) e^s this is the integral of f(u) du between e^lo and
+    e^hi, on the dyadic scale at which the geometric panels resolve f.
+    """
+    edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / math.log(2.0) - 1e-9)) + 1)
+    return sum(adaptive_panel(h, a, b) for a, b in zip(edges[:-1], edges[1:]))
+
+
 def _integrate_endpoint(f_u, u0, f_log=None):
     """integral of f(u) du over (0, u0] for an integrable density.
 
@@ -225,20 +270,7 @@ def _integrate_endpoint(f_u, u0, f_log=None):
     if f_log is not None:
         g = lambda t: f_log(lu0 + 1.0 - t)
     else:
-        def g(t):
-            u = u0 * np.exp(1.0 - t)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                vals = np.asarray(f_u(u) * u, dtype=float)
-            # at extreme depths the substitution goes subnormal and both u
-            # and the density turn into rounding noise (or inf/nan at exact
-            # zero); any integrable density contributes nothing there, while
-            # divergent ones are caught by the growth test at much
-            # shallower levels (u ~ 1e-14).  Densities needing genuine
-            # depth (slow log-type decay) supply f_log instead.
-            bad = (u < 1e-290) | (~np.isfinite(vals) & (u < 1e-30))
-            if np.any(bad):
-                vals = np.where(bad, 0.0, vals)
-            return vals
+        g = lambda t: _density_times_u(f_u, u0 * np.exp(1.0 - t))
 
     total = 0.0
     contribs = []
@@ -661,7 +693,8 @@ def classify(w):
     Undetermined rather than guessed.
     """
     us = 2.0 ** (-np.arange(0, 25, dtype=float))
-    ratios = np.array([float(w.tail_u(u) / (w.density_u(u) * u)) for u in us])
+    tails = np.asarray(w.tail_u(us), dtype=float)
+    ratios = tails / (np.asarray(w.density_u(us), dtype=float) * us)
     rmin, rmax = float(np.min(ratios)), float(np.max(ratios))
 
     tail_part = ratios[-6:]
@@ -671,23 +704,21 @@ def classify(w):
         exps = None
     elif rmax <= _REGULAR_SPREAD_BOUND * rmin:
         verdict = "Regular"
-        exps = _fit_exponents(w, us)
+        exps = _fit_exponents(us, tails)
     else:
         verdict = "Undetermined"
         exps = None
     return WeightClassification(verdict, (rmin, rmax), exps)
 
 
-def _fit_exponents(w, us):
+def _fit_exponents(us, tails):
     """Extreme pairwise slopes of log what against log(1-r) on the deep grid."""
-    deep = us[us <= 2.0 ** -4]
-    if len(deep) < 3:
-        deep = us[-6:]
-    logs_u = np.log(deep)
-    logs_t = np.log(np.array([float(w.tail_u(u)) for u in deep]))
+    deep = us <= 2.0 ** -4
+    logs_u = np.log(us[deep])
+    logs_t = np.log(tails[deep])
     slopes = []
-    for i in range(len(deep)):
-        for j in range(i + 1, len(deep)):
+    for i in range(len(logs_u)):
+        for j in range(i + 1, len(logs_u)):
             slopes.append((logs_t[i] - logs_t[j]) / (logs_u[i] - logs_u[j]))
     return (float(np.min(slopes)), float(np.max(slopes)))
 

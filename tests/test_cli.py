@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output schemas, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from bergman.analytic import AnalyticFunction, hardy_norm_poly
+from bergman import cli
 from bergman.cli import main
 
 
@@ -49,6 +51,23 @@ def test_decompose_block_norms_of_own_slices(capsys):
         sl = c[int(row["block_lo"]):int(row["block_hi"])]
         want = hardy_norm_poly(AnalyticFunction(sl), 3.0) if any(sl) else 0.0
         assert row["block_Hp_norm"] == "%.12e" % want
+
+
+def test_decompose_capped_block_is_an_error(capsys, tmp_path):
+    # const weight, alpha = 1: block 17 is [2^17, 2^18) and starts at the
+    # 2^18-node cap, so its H^3 norm cannot be checked by a doubling
+    c = ["0"] * 2 ** 18
+    c[1] = c[2 ** 18 - 1] = "1"
+    out = tmp_path / "blocks.csv"
+    argv = ["decompose", "--weight", "const(c=1)", "--alpha", "1",
+            "--max-degree", str(2 ** 18 - 1), "--f", "poly(%s)" % ",".join(c)]
+    assert main(argv + ["--p", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and " 17 " in lines[0]
+    assert main(argv + ["--p", "2", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 19
 
 
 def test_decompose_rejects_function_past_coverage(capsys):
@@ -179,3 +198,39 @@ def test_norms_rejects_non_finite_exponents(capsys, option):
 def test_usage_error_exit_two(capsys):
     assert main(["no-such-subcommand"]) == 2
     assert main([]) == 2
+
+
+def _run_captured(parser_factory, argv, out_path=None):
+    """(exit code, stdout, stderr, --out file bytes) of one main() call."""
+    saved = cli._build_parser
+    cli._build_parser = parser_factory
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        cli._build_parser = saved
+    report = None
+    if out_path is not None and out_path.exists():
+        report = out_path.read_bytes()
+        out_path.unlink()
+    return code, stdout.getvalue(), stderr.getvalue(), report
+
+
+def test_parser_reused_across_calls(tmp_path):
+    # one parser serves every call of a process; each call's bytes and exit
+    # code equal those of a freshly built parser, also after a usage error
+    out = tmp_path / "inspect.txt"
+    query = ["weights", "inspect", "--weight", "std(alpha=0.5)", "--p", "3"]
+    calls = [(query + ["--out", str(out)], 0), (query, 0),
+             (["weights", "inspect", "--p", "3"], 2),
+             (["lacunary", "--coeffs", "1,0.5,0.25", "--exps", "1,4,16",
+               "--weight", "pow(beta=0.5)"], 0)]
+    fresh = cli._build_parser.__wrapped__
+    for argv, want_code in calls:
+        reused = _run_captured(cli._build_parser, argv, out)
+        assert reused == _run_captured(fresh, argv, out)
+        assert reused[0] == want_code
+    assert cli._build_parser() is cli._build_parser()
+    assert _run_captured(cli._build_parser, calls[0][0], out)[3].decode() == \
+        _run_captured(cli._build_parser, query)[1]

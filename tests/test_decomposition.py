@@ -150,6 +150,21 @@ def test_decomposition_norm_capped_block_is_undetermined():
     assert small.verdict == "finite" and small.diagnostics["nodes"] >= 128
 
 
+def test_decomposition_norm_gamma_capped_block_is_undetermined():
+    # the input of the decomposition_norm test above: the H^3 norm of
+    # block 17 starts at the 2^18-node cap
+    part = partition(const_weight(1.0), 1.0, 2 ** 18 - 1)
+    c = np.zeros(2 ** 18)
+    c[1] = c[2 ** 18 - 1] = 1.0
+    f = AnalyticFunction(c)
+    capped = decomposition_norm_gamma(f, 3.0, 2.0, 0.5, part)
+    assert capped.verdict == "undetermined" and math.isnan(capped.value)
+    assert capped.diagnostics["capped_blocks"] == [17]
+    exact = decomposition_norm_gamma(f, 2.0, 2.0, 0.0, part)
+    assert exact.verdict == "finite"
+    assert exact.value == pytest.approx(1.0 + 2.0 ** -17, rel=1e-14)
+
+
 def _fsum_m4(c):
     # M_4(1, g)^4 = M_2(1, g^2)^2 = sum |(g^2)_k|^2 (Parseval of g^2), with
     # each coefficient of the convolution g^2 summed in fsum

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman.errors import DivergentMassError, DomainError
-from bergman.weights import (carleson_mass, classify, condition_99, distortion,
-                             moment_plain, moment_radial, muckenhoupt,
-                             parse_weight, std_weight, table_weight, tail,
+from bergman.weights import (carleson_mass, classify, condition_99,
+                             derived_weight, distortion, moment_plain,
+                             moment_radial, muckenhoupt, parse_weight,
+                             pow_weight, std_weight, table_weight, tail,
                              tail_exponent, tail_numeric, u_p_weight)
 
 
@@ -166,6 +167,27 @@ def test_u_p_weight_existence(w_const, w_std_m05):
         u_p_weight(w_const, 2)
     up = u_p_weight(w_std_m05, 2)
     assert classify(up).verdict == "Regular"
+
+
+@pytest.mark.parametrize("beta,p", [(0.5, 3.0), (0.0, 2.5), (-0.5, 1.8)])
+def test_tail_sweep_matches_closed_form(beta, p):
+    # u_p of pow(beta) has density c u^(-s), s = (beta+2)/p, c = (beta+1)^(1/p),
+    # so its tail is c u^(1-s)/(1-s); the grid is classify's plus the deep
+    # levels of tail_exponent, with a 14-level gap between the two
+    s, c = (beta + 2.0) / p, (beta + 1.0) ** (1.0 / p)
+    us = 2.0 ** -np.concatenate((np.arange(25.0), np.arange(38.0, 42.0)))
+    exact = c * us ** (1.0 - s) / (1.0 - s)
+    plain = lambda: derived_weight(lambda u: c * u ** -s)   # no log-space density
+    for make in (lambda: u_p_weight(pow_weight(beta), p), plain):
+        swept = make().tail_u(us[::-1])[::-1]
+        np.testing.assert_allclose(swept, exact, rtol=1e-13, atol=0)
+        w = make()
+        one_by_one = np.array([float(w.tail_u(u)) for u in us])
+        np.testing.assert_allclose(swept, one_by_one, rtol=1e-13, atol=0)
+        # scalar calls after a sweep read its values back from the cache
+        w = make()
+        swept = w.tail_u(us)
+        assert [float(w.tail_u(u)) for u in us] == swept.tolist()
 
 
 # --------------------------------------------------------------------------
