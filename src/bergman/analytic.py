@@ -17,11 +17,14 @@ spectrum give the mean, the inner bins weighted twice.  For p = 2 Parseval
 gives a direct coefficient formula which is used as a fast path.
 
 Radial norm integrals reuse the geometric-panel scheme of quadrature.py in
-u = 1 - r.  For rapidly increasing weights the tail of the weight decays
-subgeometrically while M_p(r, f)^p of a polynomial is eventually constant
-to machine precision; the integrator detects this flatness and closes the
-integral with the exact remaining tail mass of the weight, which is what
-makes mixed norms against such weights converge at all.
+u = 1 - r.  Their integrands come from one builder, ``circle_profile``: one
+row M_p(1-u, f)^q per column (p, q), every finite p from one
+``hardy_means_u`` call and p = inf from ``m_infinity_u``.  For rapidly
+increasing weights the tail of the weight decays subgeometrically while
+M_p(r, f)^p of a polynomial is eventually constant to machine precision;
+the integrator detects this flatness and closes the integral with the
+exact remaining tail mass of the weight, which is what makes mixed norms
+against such weights converge at all.
 """
 
 import math
@@ -40,15 +43,14 @@ __all__ = [
     "parse_function_spec",
     "hardy_mean",
     "hardy_means_u",
-    "m_infinity",
     "m_infinity_u",
+    "circle_profile",
     "bergman_norm",
     "mixed_norm",
     "mixed_norm_sup",
     "lambda_norm",
     "dirichlet_norm",
     "partial_sum",
-    "hardy_norm_poly",
     "modulus_of_continuity",
     "weighted_radial_integral",
 ]
@@ -359,22 +361,32 @@ def m_infinity_u(f, us, rel_tol=1e-6):
         n *= 2
 
 
-def m_infinity(f, r):
-    """M_inf(r, f) as a grid maximum with a resolution diagnostic."""
-    vals, diag = m_infinity_u(f, np.array([1.0 - r]))
-    return float(vals[0])
+def circle_profile(f, cols, rel_tol=None):
+    """The profile u -> one row M_p(1-u, f)^q per column (p, q) in ``cols``.
 
+    Every distinct finite p comes from one ``hardy_means_u`` call and p = inf
+    from ``m_infinity_u``, each at ``rel_tol`` (None keeps each one's own
+    default), so a column's row is that function's value raised to q, bit
+    for bit.  The profile feeds ``weighted_radial_integral`` one column per
+    weight, or ``mixed_norm_sup`` at q = 1.
+    """
+    ps = list(dict.fromkeys(p for p, _ in cols if p != math.inf))
+    tol = {} if rel_tol is None else {"rel_tol": rel_tol}
 
-def hardy_norm_poly(f, p):
-    """Hardy norm of a polynomial: M_p(1, f), exact on the circle."""
-    return hardy_mean(f, p, 1.0)
+    def profile(u):
+        means = dict(zip(ps, hardy_means_u(f, ps, u, **tol)[0])) if ps else {}
+        if any(p == math.inf for p, _ in cols):
+            means[math.inf] = m_infinity_u(f, u, **tol)[0]
+        return np.array([means[p] ** q for p, q in cols])
+
+    return profile
 
 
 def _slice_norms(coeffs, bounds, ps):
     """M_p(1, coeffs[lo:hi]) for (lo, hi) in ``bounds`` (each slice ending
     in a nonzero coefficient) and every p, with the nodes (0 for p = 2) and
-    whether they capped, each shape (len(ps), slices).  hardy_norm_poly of
-    the slice bit for bit: p = 2 by its Parseval sum (all-ones powers at
+    whether they capped, each shape (len(ps), slices).  hardy_mean(slice,
+    p, 1.0) bit for bit: p = 2 by its Parseval sum (all-ones powers at
     r = 1), other p in one ``_doubling_means`` loop per FFT kind it takes.
     """
     vals, nodes, capped = np.zeros((3, len(ps), len(bounds)))
@@ -494,11 +506,7 @@ def bergman_norm(f, p, w):
             val = 2.0 * float(mags @ w.moments_upto(len(c) - 1))
         return finite(val ** 0.5, method="closed-form", convention="area")
 
-    def gfn(u):
-        vals, _ = hardy_means_u(f, p, u)
-        return vals ** p
-
-    val, diag = weighted_radial_integral(gfn, w, include_r=True)
+    val, diag = weighted_radial_integral(circle_profile(f, [(p, p)]), w, include_r=True)
     diag["convention"] = "area"
     return finite((2.0 * val) ** (1.0 / p), method="quadrature", **diag)
 
@@ -514,11 +522,7 @@ def mixed_norm(f, p, q, w, gamma=0.0):
         raise DomainError("mixed norm requires finite q > 0")
     if not gamma >= 0:
         raise DomainError("mixed norm requires gamma >= 0")
-
-    def gfn(u):
-        return (m_infinity_u(f, u) if p == math.inf else hardy_means_u(f, p, u))[0] ** q
-
-    val, diag = weighted_radial_integral(gfn, w, gamma=gamma)
+    val, diag = weighted_radial_integral(circle_profile(f, [(p, q)]), w, gamma=gamma)
     return finite(val ** (1.0 / q), method="quadrature", **diag)
 
 
@@ -528,7 +532,7 @@ _SUP_GRID = geometric_u_grid(40, 4)
 def mixed_norm_sup(f, p, w, beta=0.0, gamma=0.0):
     """sup over r of M_p(r, f) (1-r)^gamma what(r)^beta on the geometric grid."""
     us = _SUP_GRID
-    vals = (m_infinity_u(f, us) if p == math.inf else hardy_means_u(f, p, us))[0]
+    vals = circle_profile(f, [(p, 1.0)])(us)[0]
     if gamma:
         vals = vals * us ** gamma
     if beta:

@@ -32,8 +32,8 @@ import sys
 
 from . import decomposition as dec
 from . import operators as ops
-from .analytic import (bergman_norm, hardy_norm_poly, mixed_norm,
-                       mixed_norm_sup, parse_function_spec)
+from .analytic import (bergman_norm, hardy_mean, mixed_norm, mixed_norm_sup,
+                       parse_function_spec)
 from .errors import DomainError, QuadratureDivergence
 from .verify import run_scenario, write_report
 from .weights import (classify, condition_99, muckenhoupt, parse_weight,
@@ -171,7 +171,7 @@ def _cmd_norms(args):
              "mixed_p%g_q%g_gamma%g: " % (args.p, args.q, args.gamma)
              + _F % float(mixed_norm(f, args.p, args.q, w, gamma=args.gamma)),
              "mixed_sup_p%g: " % args.p + _F % float(mixed_norm_sup(f, args.p, w)),
-             "hardy_p%g: " % args.p + _F % hardy_norm_poly(f, args.p)]
+             "hardy_p%g: " % args.p + _F % hardy_mean(f, args.p, 1.0)]
     _emit(lines, args.out)
     return 0
 

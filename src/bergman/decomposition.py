@@ -250,7 +250,7 @@ def block_hardy_norms(f, ps, part):
     used (0 for p = 2 and for zero blocks) and whether they hit the 2^18
     cap.  Circle means are invariant under the shift z^(-M_n), so each block
     is a polynomial of its own length; all blocks and p take one batched
-    call, equal to hardy_norm_poly of each block's slice bit for bit.
+    call, bit for bit hardy_mean(slice, p, 1.0) of each block's slice.
     """
     ps = [float(p) for p in ps]
     if not all(0 < p < math.inf for p in ps):       # NaN fails both
@@ -331,13 +331,20 @@ def block_criterion_lambda(g, q, p, eta, part):
 
     Returns (sup_n 2^(n eta) ||Delta_n g'||_{H^q} / M_n^(1-1/p), profile),
     where the profile lists the per-block values; decay of the profile to 0
-    is the compactness-side (little-lambda) criterion.
+    is the compactness-side (little-lambda) criterion.  A profile has no
+    verdict to carry a cap, so blocks whose nodes hit the 2^18 cap raise a
+    DomainError naming them.
     """
     if abs(part.alpha - 1.0) > 1e-12:
         raise DomainError("partition must be built with alpha = 1")
     if not 0 <= eta < 1.0 / p:
         raise DomainError("eta must lie in [0, 1/p)")
-    norms = block_hardy_norms(g.derivative(), [q], part)[0][0]
+    norms, _, capped = block_hardy_norms(g.derivative(), [q], part)
+    bad = np.nonzero(capped[0])[0].tolist()
+    if bad:
+        raise DomainError("the H^%g norms of blocks %s of g' hit the 2^18 circle-node "
+                          "cap and are undetermined" % (q, ",".join(map(str, bad))))
+    norms = norms[0]
     ns = np.arange(part.block_count)
     ms = np.array(part.marks[:-1], dtype=float)
     ms[0] = 1.0

@@ -25,7 +25,9 @@ divergence together with the implied local exponent.
 batch of dyadic levels or of the panels between descending edges.  Its
 users evaluate the integrand once on the flattened nodes and reduce per
 panel: :func:`integrate_geometric_vec`, ``weighted_radial_integral``
-(chunks of 8 levels), ``hilbert_norm2_profile`` (all levels) and
+(chunks of 8 levels, on the ``analytic.circle_profile`` rows of
+``bergman_norm``, ``mixed_norm`` and the TH-DEC, COR-HILB and INEQ-MINFTY
+scenarios), ``hilbert_norm2_profile`` (all levels) and
 ``muckenhoupt`` (panels between grid points, then one cumulative sum per
 factor).  The scalar :func:`integrate_geometric` keeps its own loop: it
 decides divergence, extrapolation and adaptive bisection panel by panel

@@ -24,10 +24,10 @@ import numpy as np
 
 from . import decomposition as dec
 from . import operators as ops
-from .analytic import (AnalyticFunction, binomial_kernel, dirichlet_norm,
-                       hardy_means_u, lambda_norm, log_kernel, m_infinity_u,
-                       mixed_norm, mixed_norm_sup, bergman_norm,
-                       random_function, weighted_radial_integral)
+from .analytic import (AnalyticFunction, binomial_kernel, circle_profile,
+                       dirichlet_norm, lambda_norm, log_kernel, mixed_norm,
+                       mixed_norm_sup, bergman_norm, random_function,
+                       weighted_radial_integral)
 from .errors import DivergentMassError, DomainError
 from .quadrature import geometric_u_grid, integrate_geometric
 from .weights import (classify, const_weight, derived_weight, distortion,
@@ -210,14 +210,11 @@ def _th_dec(config):
     # function runs over all (pair, weight) columns and samples each circle
     # once for every p.
     pairs = cfg["pairs"]
-    ps = list(dict.fromkeys(p for p, _ in pairs))
+    cols = [pair for pair in pairs for _ in weights]
     mixed_vals = {}
     for label, f in fns:
-        def gfn(u, f=f):
-            means = hardy_means_u(f, ps, u, rel_tol=1e-6)[0]
-            return np.repeat([means[ps.index(p)] ** q for p, q in pairs], len(weights), axis=0)
-
-        vals, _ = weighted_radial_integral(gfn, list(weights.values()) * len(pairs), rel_tol=1e-8)
+        vals, _ = weighted_radial_integral(circle_profile(f, cols, rel_tol=1e-6),
+                                           list(weights.values()) * len(pairs), rel_tol=1e-8)
         for (p, q), row in zip(pairs, np.reshape(vals, (len(pairs), -1))):
             for wname, val in zip(weights, row):
                 mixed_vals[(wname, p, q, label)] = float(val ** (1.0 / q))
@@ -466,14 +463,8 @@ def _areas(f, cols, mean_tol):
 
     One radial integral: each chunk samples the circles once for every p.
     """
-    ps = list(dict.fromkeys(p for p, _ in cols))
-
-    def gfn(u):
-        means = hardy_means_u(f, ps, u, rel_tol=mean_tol)[0]
-        powers = {p: m ** p for m, p in zip(means, ps)}
-        return np.array([powers[p] for p, _ in cols])
-
-    return 2.0 * weighted_radial_integral(gfn, [w for _, w in cols], include_r=True,
+    profile = circle_profile(f, [(p, p) for p, _ in cols], rel_tol=mean_tol)
+    return 2.0 * weighted_radial_integral(profile, [w for _, w in cols], include_r=True,
                                           rel_tol=1e-7)[0] if cols else []
 
 
@@ -715,15 +706,11 @@ def _ineq_minfty(config):
     hats = [hat_weight(w) for w in bases]
     area_keys = [(p, i) for p in cfg["ps"] if p != 2 for i in range(len(bases))]
     for label, f in fns:
-        def minf_powers(u, f=f):
-            # grid maxima are certified lower bounds, so a loose
-            # tolerance keeps the one-sided check conservative
-            vals, _ = m_infinity_u(f, u, rel_tol=1e-3)
-            powers = {p: vals ** p for p in cfg["ps"]}
-            return np.array([powers[p] for _, _, p in cols])
-
+        # grid maxima are certified lower bounds, so a loose
+        # tolerance keeps the one-sided check conservative
         lhs_vals, _ = weighted_radial_integral(
-            minf_powers, [hats[i] for i, _, _ in cols], rel_tol=1e-8)
+            circle_profile(f, [(math.inf, p) for _, _, p in cols], rel_tol=1e-3),
+            [hats[i] for i, _, _ in cols], rel_tol=1e-8)
         areas = dict(zip(area_keys, _areas(
             f, [(p, bases[i]) for p, i in area_keys], 1e-5)))
         for (i, wname, p), lhs in zip(cols, lhs_vals):

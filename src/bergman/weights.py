@@ -24,7 +24,7 @@ from scipy import special
 from . import spec
 from .spec import REQUIRED
 from .errors import DivergentMassError, DomainError
-from .quadrature import (_WEIGHTS, adaptive_panel, gauss_panel, gauss_panels,
+from .quadrature import (_WEIGHTS, adaptive_panel, gauss_panels,
                          geometric_u_grid, integrate_geometric)
 from .results import divergent, finite, undetermined
 
@@ -41,14 +41,11 @@ __all__ = [
     "table_weight",
     "derived_weight",
     "tail",
-    "tail_numeric",
     "distortion",
     "classify",
     "tail_exponent",
     "muckenhoupt",
     "condition_99",
-    "moment_radial",
-    "moment_plain",
     "u_p_weight",
     "carleson_mass",
 ]
@@ -103,9 +100,6 @@ class RadialWeight:
 
     def density_u(self, u):
         return self.scale * self._density_u(np.asarray(u, dtype=float))
-
-    def density(self, r):
-        return self.density_u(1.0 - np.asarray(r, dtype=float))
 
     def tail_u(self, u):
         if self._tail_u is not None:
@@ -182,6 +176,8 @@ class RadialWeight:
 
     def moment(self, n):
         """omega_n = integral of r^(2n+1) omega(r) dr over [0,1], memoized."""
+        if n < 0:
+            raise DomainError("moment index must be >= 0")
         key = ("m", int(n))
         v = self._moment_cache.get(key)
         if v is None:
@@ -194,6 +190,8 @@ class RadialWeight:
 
     def moment_plain(self, x):
         """integral of r^x omega(r) dr over [0,1] for real x >= 0."""
+        if x < 0:
+            raise DomainError("moment exponent must be >= 0")
         key = ("p", float(x))
         v = self._moment_cache.get(key)
         if v is None:
@@ -623,40 +621,6 @@ def tail(w, r):
     return float(w.tail(r))
 
 
-def tail_numeric(w, r):
-    """Tail recomputed by quadrature on the density, ignoring any closed form.
-
-    For the oscillating family the substitution x = 1/sqrt(1-s) turns the
-    tail into a decaying oscillatory integral; panels of a few radians plus
-    a Filon-type endpoint correction (one exact integration by parts at the
-    truncation point) make it converge without resolving every oscillation
-    out to infinity.
-    """
-    u0 = 1.0 - r
-    if w.family == "osc":
-        return w.scale * _osc_tail_numeric(u0)
-    return w.scale * _integrate_endpoint(w._density_u, u0,
-                                         f_log=w._density_u_log)
-
-
-def _osc_tail_numeric(u0):
-    # integral over (0, u0) of the osc density, written in x = u^(-1/2):
-    #   16 x^(-2) + 4 x^(-3) cos x + 2 x^(-2) sin x   on (x0, infinity)
-    x0 = 1.0 / math.sqrt(u0)
-    big_x = max(64.0 * math.pi + x0, 256.0)
-    osc_part = 0.0
-    f = lambda x: 4.0 * np.cos(x) / x ** 3 + 2.0 * np.sin(x) / x ** 2
-    n_panels = int(math.ceil((big_x - x0) / 2.0))
-    edges = np.linspace(x0, big_x, n_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        osc_part += gauss_panel(f, a, b)
-    # endpoint correction: the remaining oscillatory tail integrates by
-    # parts to the boundary term below (the integrand is an exact
-    # derivative of -2 x^(-2) cos x)
-    osc_part += 2.0 * math.cos(big_x) / big_x ** 2
-    return 16.0 / x0 + osc_part
-
-
 def distortion(w, r):
     """psi(r) = what(r) / omega(r)."""
     u = 1.0 - r
@@ -806,20 +770,6 @@ def muckenhoupt(w, p):
     return finite(vals[k], method="sup-grid",
                   argmax_u=float(us[k]), grid_size=len(us),
                   exponent=-m, tail_exponent=theta)
-
-
-def moment_radial(w, n):
-    """omega_n = integral of r^(2n+1) omega(r) dr, memoized on the weight."""
-    if n < 0:
-        raise DomainError("moment index must be >= 0")
-    return float(w.moment(n))
-
-
-def moment_plain(w, x):
-    """integral of r^x omega(r) dr for real x >= 0."""
-    if x < 0:
-        raise DomainError("moment exponent must be >= 0")
-    return float(w.moment_plain(x))
 
 
 def u_p_weight(w, p):

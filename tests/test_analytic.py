@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman.analytic import (AnalyticFunction, bergman_norm, binomial_kernel,
-                              dirichlet_norm, hardy_mean, hardy_means_u,
-                              hardy_norm_poly, log_kernel, m_infinity,
-                              m_infinity_u, mixed_norm, mixed_norm_sup,
+                              circle_profile, dirichlet_norm, hardy_mean,
+                              hardy_means_u, log_kernel, m_infinity_u,
+                              mixed_norm, mixed_norm_sup,
                               modulus_of_continuity, parse_function_spec,
                               partial_sum, random_function)
 from bergman.errors import DomainError
 from bergman.operators import apply_classical
 from bergman.quadrature import _NODES
-from bergman.weights import const_weight, moment_radial, std_weight
+from bergman.weights import const_weight, std_weight
 
 # round to avoid coefficients so tiny that |f|^p underflows to zero
 coeff_lists = st.lists(st.floats(min_value=-2.0, max_value=2.0)
@@ -62,13 +62,7 @@ def test_means_monotone_in_p_and_r(coeffs):
 def test_m_infinity_positive_coeffs():
     # nonnegative coefficients peak on the positive axis
     f = AnalyticFunction([1.0, 2.0, 0.5])
-    assert m_infinity(f, 0.9) == pytest.approx(f(0.9).real, rel=1e-9)
-
-
-def test_hardy_norm_poly_is_boundary_mean():
-    f = AnalyticFunction([1.0, 1.0])
-    assert hardy_norm_poly(f, 4) == pytest.approx(hardy_mean(f, 4, 1.0),
-                                                  rel=1e-10)
+    assert float(m_infinity_u(f, [0.1])[0][0]) == pytest.approx(f(0.9).real, rel=1e-9)
 
 
 # sign-changing real coefficients; zeros at moduli 0.783 (pair) and 2.17
@@ -222,6 +216,24 @@ def test_hardy_means_reject_non_finite_p(p):
         hardy_means_u(AnalyticFunction([1.0, 2.0, 3.0]), p, np.array([0.5]))
 
 
+@pytest.mark.parametrize("rel_tol", [None, 1e-3])
+def test_circle_profile_rows_equal_per_column_calls(rel_tol):
+    # a repeated p, p = 2 (Parseval), p = inf and q != p: each row is its
+    # column's own circle-mean call raised to q, bit for bit, and rel_tol
+    # None keeps each call's default
+    cols = [(3.0, 2.0), (1.5, 1.5), (2.0, 3.0), (math.inf, 2.5), (3.0, 3.0),
+            (math.inf, 1.0)]
+    tol = {} if rel_tol is None else {"rel_tol": rel_tol}
+    us = np.array([0.5, 0.05, 0.01, 1e-3, 1e-6, 0.0])
+    for f in (AnalyticFunction(_SIGNED), AnalyticFunction([1 + 2j, -0.5, 0.25j, 3.0]),
+              random_function(64, 3, dist="sym")):
+        got = circle_profile(f, cols, rel_tol=rel_tol)(us)
+        assert got.shape == (len(cols), len(us))
+        for row, (p, q) in zip(got, cols):
+            one = m_infinity_u(f, us, **tol) if p == math.inf else hardy_means_u(f, p, us, **tol)
+            assert np.array_equal(row, one[0] ** q), (f, p, q)
+
+
 # --------------------------------------------------------------------------
 # area norms
 
@@ -229,7 +241,7 @@ def test_bergman_norm_monomial_moment(w_std_m05):
     # ||z^n||_2^2 = 2 * omega_n for a probability weight
     for n in (0, 1, 5, 12):
         f = AnalyticFunction(np.eye(1, n + 1, n)[0])
-        expect = math.sqrt(2.0 * moment_radial(w_std_m05, n))
+        expect = math.sqrt(2.0 * w_std_m05.moment(n))
         assert float(bergman_norm(f, 2, w_std_m05)) == pytest.approx(
             expect, rel=1e-10)
 
@@ -271,10 +283,9 @@ def test_mixed_norms_keep_p_infinity(w_std_m05):
 
 def test_mixed_norm_p2_coefficient_sum(w_linear, small_corpus):
     # no factor r in the mixed convention: the 2n-th plain moments appear
-    from bergman.weights import moment_plain
     for f in small_corpus[:4]:
         a = float(mixed_norm(f, 2, 2, w_linear)) ** 2
-        b = sum(abs(c) ** 2 * moment_plain(w_linear, 2 * n)
+        b = sum(abs(c) ** 2 * w_linear.moment_plain(2 * n)
                 for n, c in enumerate(f.coefficients))
         assert a == pytest.approx(b, rel=1e-8)
 

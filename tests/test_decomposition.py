@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergman.analytic import (AnalyticFunction, bergman_norm, hardy_norm_poly,
+from bergman.analytic import (AnalyticFunction, bergman_norm, hardy_mean,
                               log_kernel)
 from bergman.decomposition import (block, block_criterion_lambda,
                                    block_hardy_norms, decomposition_norm,
@@ -83,11 +83,11 @@ def test_blocks_reassemble(part_dyadic):
 
 
 def _blocks_one_by_one(f, p, part):
-    # the reference: one hardy_norm_poly call per nonzero coefficient slice
+    # the reference: one circle mean at r = 1 per nonzero coefficient slice
     out = []
     for lo, hi in part.blocks():
         sl = f.coefficients[lo:hi]
-        out.append(hardy_norm_poly(AnalyticFunction(sl), p) if sl.any() else 0.0)
+        out.append(hardy_mean(AnalyticFunction(sl), p, 1.0) if sl.any() else 0.0)
     return np.array(out)
 
 
@@ -104,7 +104,7 @@ def _block_corpus():
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_block_hardy_norms_equal_single_block_calls(alpha):
     # every block of every p in one batched call moves no bit against one
-    # hardy_norm_poly call per block; the partitions reach degree 300, so
+    # hardy_mean(block, p, 1.0) call per block; the partitions reach degree 300, so
     # the tail blocks past each function's degree are empty
     part = partition(const_weight(1.0), alpha, 300)
     ps = [1.5, 2.0, 3.0, 4.0]
@@ -163,6 +163,21 @@ def test_decomposition_norm_gamma_capped_block_is_undetermined():
     exact = decomposition_norm_gamma(f, 2.0, 2.0, 0.0, part)
     assert exact.verdict == "finite"
     assert exact.value == pytest.approx(1.0 + 2.0 ** -17, rel=1e-14)
+
+
+def test_block_criterion_capped_block_is_an_error():
+    # g' = 2z + 2^18 z^(2^18 - 1) is the input of the decomposition_norm
+    # test above up to its coefficients: the H^3 norm of block 17 starts at
+    # the 2^18-node cap, and a profile cannot carry an undetermined value
+    part = partition(const_weight(1.0), 1.0, 2 ** 18 - 1)
+    c = np.zeros(2 ** 18 + 1)
+    c[2] = c[2 ** 18] = 1.0
+    g = AnalyticFunction(c)
+    with pytest.raises(DomainError, match=r"blocks 17 of g'"):
+        block_criterion_lambda(g, 3.0, 2.0, 0.0, part)
+    # q = 2 is Parseval's sum, which never caps
+    sup, profile = block_criterion_lambda(g, 2.0, 2.0, 0.0, part)
+    assert profile[17] == sup == pytest.approx(2.0 ** 18 / 2.0 ** 8.5, rel=1e-14)
 
 
 def _fsum_m4(c):

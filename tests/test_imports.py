@@ -1,9 +1,12 @@
-"""Tooling: no module in src/ or tests/ imports a name it never uses.
+"""Tooling: no module in src/ or tests/ imports a name it never uses, and
+no function or class defined in src/bergman goes unreferenced.
 
 Only the stdlib ``ast`` module is used.  A name counts as used when it
 appears anywhere in the module as a plain name (``np`` in ``np.sum``
 included); names listed in the module's ``__all__`` are re-exports and
-count as used too.
+count as used too.  A definition counts as referenced when its name
+appears as a plain name or an attribute anywhere in src/, tests/ or
+perfbench/; dunder methods are called by the language and are exempt.
 """
 
 import ast
@@ -48,4 +51,48 @@ def test_no_unused_imports():
     offenders = ["%s:%d %s" % (path.relative_to(_ROOT), line, name)
                  for path in files
                  for line, name in _unused_imports(path.read_text())]
+    assert offenders == []
+
+
+def _dead_definitions(source, references):
+    """Sorted (line, name) of the defs and classes in ``source`` whose names
+    are not in ``references``, dunders exempt."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in references
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def _references(sources):
+    """Every name used as a plain name or an attribute in ``sources``."""
+    refs = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    return refs
+
+
+def test_detector_flags_dead_definitions():
+    source = ("def used():\n    pass\n"
+              "def dead():\n    pass\n"
+              "class K:\n"
+              "    def __init__(self):\n        pass\n"
+              "    def meth(self):\n        pass\n"
+              "    def unused(self):\n        pass\n"
+              "used(); K().meth()\n")
+    assert _dead_definitions(source, _references([source])) == [(3, "dead"), (10, "unused")]
+
+
+def test_no_dead_definitions():
+    defined = sorted((_ROOT / "src" / "bergman").rglob("*.py"))
+    users = sorted((_ROOT / "src").rglob("*.py")) + sorted((_ROOT / "tests").rglob("*.py")) \
+        + sorted((_ROOT / "perfbench").rglob("*.py"))
+    assert defined and users
+    refs = _references(path.read_text() for path in users)
+    offenders = ["%s:%d %s" % (path.relative_to(_ROOT), line, name)
+                 for path in defined
+                 for line, name in _dead_definitions(path.read_text(), refs)]
     assert offenders == []

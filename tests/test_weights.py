@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from bergman.errors import DivergentMassError, DomainError
 from bergman.weights import (carleson_mass, classify, condition_99,
-                             derived_weight, distortion, moment_plain,
-                             moment_radial, muckenhoupt, parse_weight,
-                             pow_weight, std_weight, table_weight, tail,
-                             tail_exponent, tail_numeric, u_p_weight)
+                             derived_weight, distortion, muckenhoupt,
+                             parse_weight, pow_weight, std_weight,
+                             table_weight, tail, tail_exponent, u_p_weight)
 
 
 # --------------------------------------------------------------------------
@@ -73,8 +72,10 @@ def test_logpow_tail_value(w_logpow2):
 
 
 def test_tail_numeric_matches_closed(w_std_m05):
+    # the same density without its closed tail takes the endpoint integral
+    numeric = derived_weight(w_std_m05.density_u)
     for r in (0.1, 0.7, 0.99, 1.0 - 2.0 ** -20):
-        assert tail_numeric(w_std_m05, r) == pytest.approx(
+        assert float(numeric.tail_u(1.0 - r)) == pytest.approx(
             tail(w_std_m05, r), rel=1e-10)
 
 
@@ -197,18 +198,28 @@ def test_moment_radial_std_beta_function():
     # integral of r^(2n+1)(1-r^2)^alpha dr = B(n+1, alpha+1)/2
     from scipy.special import beta
     w = std_weight(-0.5)
-    assert moment_radial(w, 10) == pytest.approx(0.5 * beta(11, 0.5), rel=1e-12)
-    assert moment_radial(w, 10) == pytest.approx(0.270260183572877, rel=1e-12)
+    assert w.moment(10) == pytest.approx(0.5 * beta(11, 0.5), rel=1e-12)
+    assert w.moment(10) == pytest.approx(0.270260183572877, rel=1e-12)
 
 
 def test_moment_monotone_decreasing(w_std_1):
-    ms = [moment_radial(w_std_1, n) for n in range(20)]
+    ms = [w_std_1.moment(n) for n in range(20)]
     assert all(a > b > 0 for a, b in zip(ms, ms[1:]))
 
 
 def test_moment_plain_const(w_const):
     for x in (0.0, 1.0, 4.5):
-        assert moment_plain(w_const, x) == pytest.approx(1.0 / (x + 1.0), rel=1e-12)
+        assert w_const.moment_plain(x) == pytest.approx(1.0 / (x + 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["std(alpha=-0.5)", "logpow(beta=2)"])
+def test_moments_reject_negative_order(spec):
+    # with or without closed moments, a negative order is out of the domain
+    w = parse_weight(spec)
+    with pytest.raises(DomainError):
+        w.moment(-1)
+    with pytest.raises(DomainError):
+        w.moment_plain(-0.5)
 
 
 def test_carleson_mass_value():
