@@ -19,7 +19,7 @@ from .analytic import (AnalyticFunction, bergman_norm, dirichlet_norm,
                        modulus_of_continuity, parse_function_spec)
 from .decomposition import (BlockPartition, block, decomposition_norm,
                             decomposition_norm_gamma, is_omega_lacunary,
-                            lacunary_norm, lacunary_sup_test, partition, radii)
+                            lacunary_norm, lacunary_sup_test, partition)
 from .errors import (DivergentMassError, DomainError, QuadratureDivergence,
                      WellDefinednessError)
 from .operators import (OperatorSetting, apply_classical, apply_generalized,
@@ -28,7 +28,7 @@ from .operators import (OperatorSetting, apply_classical, apply_generalized,
 from .results import NormValue
 from .verify import ScenarioReport, run_scenario, scenario_ids, write_report
 from .weights import (RadialWeight, classify, condition_99, muckenhoupt,
-                      parse_weight, tail)
+                      parse_weight)
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,5 @@ __all__ = [
     "lp_hat_norm", "mixed_norm", "mixed_norm_sup", "modulus_of_continuity",
     "moments", "muckenhoupt", "operator_norm_lower",
     "parse_function_spec", "parse_weight", "partition",
-    "radii", "run_scenario", "scenario_ids",
-    "suma_ratio", "tail", "write_report",
+    "run_scenario", "scenario_ids", "suma_ratio", "write_report",
 ]

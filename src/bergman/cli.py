@@ -23,11 +23,16 @@ Function specs: poly(c0,c1,...) | logk(deg=D) | binom(s=S,deg=D)
                 | rand(deg=D,seed=S[,dist=unit|sym|normal])
 
 Exit codes: 0 success, 1 domain error (invalid mathematical input,
-ill-defined operator), 2 usage error.  All floats print as %.12e.
+ill-defined operator), 2 usage error.  A domain error prints one
+"error: ..." line on stderr and nothing on stdout; out-of-range numbers
+are domain errors, not ignored: decompose needs finite alpha, p, q > 0,
+apply needs kmax >= 0 and lacunary needs finite q > 0.  All floats print
+as %.12e.
 """
 
 import argparse
 import functools
+import math
 import sys
 
 from . import decomposition as dec
@@ -77,15 +82,14 @@ def _cmd_weights_inspect(args):
 
 
 def _cmd_decompose(args):
+    if not (0 < args.p < math.inf and 0 < args.q < math.inf):     # NaN fails both
+        raise DomainError("decompose requires finite p > 0 and q > 0")
     w = parse_weight(args.weight).normalized()
     part = dec.partition(w, args.alpha, args.max_degree)
     norms = [0.0] * part.block_count
     if args.f:
         norms, _, capped = dec.block_hardy_norms(parse_function_spec(args.f), [args.p], part)
-        bad = [n for n, c in enumerate(capped[0]) if c]
-        if bad:
-            raise DomainError("the H^%g norms of blocks %s hit the 2^18 circle-node "
-                              "cap and are undetermined" % (args.p, ",".join(map(str, bad))))
+        dec.capped_blocks(capped[0], args.p)
         norms = norms[0]
     lines = ["n,r_n,M_n,block_lo,block_hi,block_Hp_norm,weight,contribution"]
     for n, (lo, hi) in enumerate(part.blocks()):

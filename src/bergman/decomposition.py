@@ -175,23 +175,6 @@ class BlockPartition:
                    self.covered_degree, "" if self.complete else ", partial"))
 
 
-def radii(w, alpha, count):
-    """First ``count`` radii r_n solving tail(w, r_n) = 2^(-n alpha).
-
-    The weight must be normalized (unit mass) so that r_0 = 0.
-    """
-    w = _require_normalized(w)
-    if alpha <= 0:
-        raise DomainError("block exponent alpha must be positive")
-    out = []
-    for n in range(count):
-        u = _solve_radius_u(w, 2.0 ** (-n * alpha))
-        if u <= 0.0:
-            break
-        out.append(1.0 - u)
-    return out
-
-
 def _require_normalized(w):
     if abs(w.total_mass - 1.0) > 1e-9:
         raise DomainError("weight must be normalized to unit mass "
@@ -207,8 +190,8 @@ def partition(w, alpha, max_degree):
     must check coverage.
     """
     w = _require_normalized(w)
-    if alpha <= 0:
-        raise DomainError("block exponent alpha must be positive")
+    if not 0 < alpha < math.inf:                    # NaN fails both
+        raise DomainError("block exponent alpha must be finite and positive")
     if max_degree < 0:
         raise DomainError("max_degree must be nonnegative")
     us = [1.0]
@@ -270,6 +253,20 @@ def block_hardy_norms(f, ps, part):
     return out[0], out[1].astype(int), out[2].astype(bool)
 
 
+def capped_blocks(capped, p=None, of=""):
+    """The indices of the blocks whose circle nodes hit the 2^18 cap, from a
+    ``capped`` row of ``block_hardy_norms``.  A value with a verdict turns
+    ``undetermined`` and lists them; a caller with no verdict to carry the
+    cap passes the row's ``p`` (and ``of``, naming the function) and gets a
+    DomainError naming the blocks instead.
+    """
+    bad = np.nonzero(capped)[0].tolist()
+    if bad and p is not None:
+        raise DomainError("the H^%g norms of blocks %s%s hit the 2^18 circle-node cap "
+                          "and are undetermined" % (p, ",".join(map(str, bad)), of))
+    return bad
+
+
 def decomposition_norm(f, p, q, part):
     """(sum_n 2^(-n alpha) ||Delta_n f||_{H^p}^q)^(1/q), the block l^q norm.
 
@@ -292,7 +289,7 @@ def decomposition_norm(f, p, q, part):
     out = []
     for a, b in pairs:
         k = ps.index(float(a))
-        bad = np.nonzero(capped[k])[0].tolist()
+        bad = capped_blocks(capped[k])
         out.append(undetermined(method="truncation", blocks=part.block_count,
                                 capped_blocks=bad) if bad else
                    finite(float((wts * norms[k] ** b).sum()) ** (1.0 / b), method="truncation",
@@ -314,7 +311,7 @@ def decomposition_norm_gamma(g, q, p, gamma, part):
     if abs(part.alpha - 1.0) > 1e-12:
         raise DomainError("partition must be built with alpha = 1")
     norms, _, capped = block_hardy_norms(g, [q], part)
-    bad = np.nonzero(capped[0])[0].tolist()
+    bad = capped_blocks(capped[0])
     if bad:
         return undetermined(method="truncation", blocks=part.block_count,
                             capped_blocks=bad)
@@ -340,10 +337,7 @@ def block_criterion_lambda(g, q, p, eta, part):
     if not 0 <= eta < 1.0 / p:
         raise DomainError("eta must lie in [0, 1/p)")
     norms, _, capped = block_hardy_norms(g.derivative(), [q], part)
-    bad = np.nonzero(capped[0])[0].tolist()
-    if bad:
-        raise DomainError("the H^%g norms of blocks %s of g' hit the 2^18 circle-node "
-                          "cap and are undetermined" % (q, ",".join(map(str, bad))))
+    capped_blocks(capped[0], q, of=" of g'")
     norms = norms[0]
     ns = np.arange(part.block_count)
     ms = np.array(part.marks[:-1], dtype=float)
@@ -361,7 +355,7 @@ def is_omega_lacunary(exponents, w, lam):
     Returns (ok, witness) where witness is the first violating index k (or
     None), plus the ratio list for diagnostics.
     """
-    if lam <= 1:
+    if not lam > 1:                                 # NaN fails
         raise DomainError("gap threshold must exceed 1")
     exps = [int(n) for n in exponents]
     if any(b <= a for a, b in zip(exps, exps[1:])) or (exps and exps[0] < 1):
@@ -382,6 +376,8 @@ def lacunary_norm(coeffs, exponents, q, w, gap=1.05):
     and a warning issued when it fails (the identity then loses meaning,
     but the sum is still returned).
     """
+    if not 0 < q < math.inf:                        # NaN fails both
+        raise DomainError("lacunary_norm requires finite q > 0")
     coeffs = np.asarray(coeffs, dtype=complex)
     exps = [int(n) for n in exponents]
     if len(coeffs) != len(exps):

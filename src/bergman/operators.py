@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 from scipy.special import gammaln, hyp2f1
 
-from .analytic import AnalyticFunction, bergman_norm, hardy_means_u
+from .analytic import AnalyticFunction, bergman_norm, circle_profile
 from .errors import DomainError, WellDefinednessError
 from .quadrature import (_WEIGHTS as _GAUSS_WEIGHTS, gauss_panels,
                          integrate_geometric, integrate_geometric_vec)
@@ -158,6 +158,8 @@ def apply_generalized(g, f, k_max, setting):
     Requires the setting's well-definedness condition to be finite.  The
     output degree never exceeds deg(g) - 1 (higher coefficients vanish).
     """
+    if k_max < 0:
+        raise DomainError("k_max must be nonnegative")
     setting.require_well_defined()
     b = g.coefficients
     top = min(k_max, len(b) - 2)
@@ -365,10 +367,11 @@ def test_function_Q(g, rho, setting, k_max=1024):
         return (lambda u: np.zeros_like(np.asarray(u, dtype=float))), \
             AnalyticFunction([0.0])
 
+    means = circle_profile(g_rho, [(q, 1.0)])
+
     def phi(u):
         u = np.asarray(u, dtype=float)
-        means, _ = hardy_means_u(g_rho, q, u)
-        return (means * u ** (1.0 - 1.0 / q)) ** e
+        return (means(u)[0] * u ** (1.0 - 1.0 / q)) ** e
 
     mu = moments_profile(phi, k_max)
     return phi, AnalyticFunction(mu)

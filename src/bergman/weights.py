@@ -40,7 +40,6 @@ __all__ = [
     "osc_weight",
     "table_weight",
     "derived_weight",
-    "tail",
     "distortion",
     "classify",
     "tail_exponent",
@@ -614,11 +613,6 @@ def parse_weight(text):
 
 # ---------------------------------------------------------------------------
 # tails, distortion, classification
-
-
-def tail(w, r):
-    """what(r), the tail integral of the weight over (r, 1)."""
-    return float(w.tail(r))
 
 
 def distortion(w, r):

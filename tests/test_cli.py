@@ -195,6 +195,34 @@ def test_norms_rejects_non_finite_exponents(capsys, option):
     assert time.monotonic() - t0 < 5.0
 
 
+_DECOMPOSE = ["decompose", "--weight", "const(c=1)", "--alpha", "1", "--max-degree", "64"]
+
+
+@pytest.mark.parametrize("argv", [
+    _DECOMPOSE + ["--f", "poly(1,2,3)", "--q", "-1"],     # an empty block's 0 ** q divides by 0
+    _DECOMPOSE + ["--f", "poly(1,2,3)", "--q", "0"],      # 0 ** 0 = 1 counts empty blocks
+    _DECOMPOSE + ["--p", "-3"],                           # p is unused without --f
+    _DECOMPOSE + ["--q", "nan"],
+    _DECOMPOSE + ["--p", "inf"],
+    ["decompose", "--weight", "const(c=1)", "--alpha", "nan",
+     "--max-degree", "64"],                               # the mark loop never ends
+    ["apply", "--g", "poly(0,1,2)", "--f", "poly(1)", "--weight", "std(alpha=-0.5)",
+     "--kmax", "-3"],                                     # returns before moments checks
+    ["lacunary", "--coeffs", "1,0.5", "--exps", "1,4", "--weight", "pow(beta=0.5)",
+     "--q", "-1"],                                        # the moment sum takes any q
+    ["lacunary", "--coeffs", "1,0.5", "--exps", "1,4", "--weight", "pow(beta=0.5)",
+     "--gap", "nan"],                                     # no ratio is below a NaN gap
+], ids=["decompose-q-neg", "decompose-q-zero", "decompose-p-neg", "decompose-q-nan",
+        "decompose-p-inf", "decompose-alpha-nan", "apply-kmax-neg", "lacunary-q-neg",
+        "lacunary-gap-nan"])
+def test_out_of_range_input_is_an_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["no-such-subcommand"]) == 2
     assert main([]) == 2

@@ -13,7 +13,7 @@ from bergman.decomposition import (block, block_criterion_lambda,
                                    block_hardy_norms, decomposition_norm,
                                    decomposition_norm_gamma,
                                    is_omega_lacunary, lacunary_norm,
-                                   lacunary_sup_test, partition, radii)
+                                   lacunary_sup_test, partition)
 from bergman.errors import DomainError
 from bergman.weights import const_weight, pow_weight
 
@@ -31,9 +31,8 @@ def test_dyadic_marks_flat_weight(part_dyadic):
         assert m == 2 ** n
 
 
-def test_dyadic_radii_flat_weight(w_const):
-    rs = radii(w_const, 1.0, 12)
-    for n, r in enumerate(rs):
+def test_dyadic_radii_flat_weight(part_dyadic):
+    for n, r in enumerate(part_dyadic.radii[:12]):
         assert r == pytest.approx(1.0 - 2.0 ** -n, abs=1e-10)
 
 

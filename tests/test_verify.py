@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from bergman import verify
 from bergman.errors import DomainError
 from bergman.verify import (corpus_functions, default_windows, named_weight,
                             ratio_statistics, run_scenario, scenario_ids,
@@ -25,6 +26,60 @@ def test_unknown_config_key_rejected():
         run_scenario("TH-LAC", {"bogus": 1})
     with pytest.raises(DomainError, match="window"):
         run_scenario("TH-COMPACT", {"window": 2.0})
+
+
+_KNOWN_KEYS = {
+    "COR-HILB": "count, degree, ps, seed, weight, window",
+    "COR-PREV": "gamma, m, q, seed, window",
+    "INEQ-MINFTY": "count, degree, ps, seed, weights, window",
+    "LEM-LIMITS": "offsets, ps, seed, window",
+    "LEM-UP": "offsets, ps, seed, window",
+    "PROP-LIP": "eta, p, seed, weight, window",
+    "TH-COMPACT": "eta, p, q, seed, symbols, weight",
+    "TH-DEC": "alphas, count, degree, pairs, seed, weights, window",
+    "TH-GORRO": "escape, j_max, n_random, p, seed, weight, window",
+    "TH-HS": "K, k_suma, seed, stab_bar, suma_window, weight, window",
+    "TH-LAC": "count, k_terms, qs, seed, weights, window",
+    "TH-LACSUP": "betas, k_terms, seed, weights, window",
+    "TH-MAIN-PQ": "n_max, p, q, seed, symbols, weight, window",
+    "TH-MAIN-QP": "p, q, seed, symbols, weight, window",
+}
+
+
+def test_unknown_key_rejected_before_the_scenario_runs(monkeypatch):
+    # the runner validates every config against its scenario's defaults
+    # before the scenario function is reached
+    def never(cfg, rep, window):
+        raise AssertionError("scenario ran on an invalid config")
+
+    for fn, _ in verify._scenarios().values():
+        monkeypatch.setattr(verify, fn.__name__, never)
+    assert scenario_ids() == sorted(_KNOWN_KEYS)
+    for sid in scenario_ids():
+        with pytest.raises(DomainError) as exc:
+            run_scenario(sid, {"bogus": 1})
+        assert str(exc.value) == "unknown config keys bogus (known: %s)" % _KNOWN_KEYS[sid]
+
+
+def test_every_window_is_some_scenario_default(monkeypatch):
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return dict.__getitem__(self, key)
+
+    wins = default_windows()
+    monkeypatch.setattr(verify, "default_windows", lambda: Recording(wins))
+    verify._scenarios()
+    assert read == set(wins)
+
+
+def test_lem_up_window_bars_condition_iv_only():
+    # the window is the bar for condition (iv); the report has no window
+    rep = run_scenario("LEM-UP", {"window": 1.0})
+    assert rep.window == math.inf
+    assert rep.verdict == "Violation"
 
 
 def test_gorro_extremal_cases_finite():

@@ -11,7 +11,7 @@ from bergman.errors import DivergentMassError, DomainError
 from bergman.weights import (carleson_mass, classify, condition_99,
                              derived_weight, distortion, muckenhoupt,
                              parse_weight, pow_weight, std_weight,
-                             table_weight, tail, tail_exponent, u_p_weight)
+                             table_weight, tail_exponent, u_p_weight)
 
 
 # --------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def test_normalized_has_unit_mass(w_std_1, w_logpow2, w_osc):
 
 def test_const_tail_linear(w_const):
     for r in np.linspace(0.0, 0.999, 21):
-        assert tail(w_const, float(r)) == pytest.approx(1.0 - r, rel=1e-14)
+        assert w_const.tail(float(r)) == pytest.approx(1.0 - r, rel=1e-14)
 
 
 def test_std_tail_closed_form():
@@ -59,7 +59,7 @@ def test_std_tail_closed_form():
     w = std_weight(1.0)
     for r in (0.0, 0.3, 0.9, 0.999):
         expect = (2.0 - 3.0 * r + r ** 3) / 3.0
-        assert tail(w, r) == pytest.approx(expect, rel=1e-11)
+        assert w.tail(r) == pytest.approx(expect, rel=1e-11)
 
 
 def test_logpow_tail_value(w_logpow2):
@@ -68,7 +68,7 @@ def test_logpow_tail_value(w_logpow2):
     from bergman.weights import logpow_weight
     w = logpow_weight(2.0)
     r = 1.0 - math.exp(1.0 - math.e)
-    assert tail(w, r) == pytest.approx(1.0 / math.e, rel=1e-12)
+    assert w.tail(r) == pytest.approx(1.0 / math.e, rel=1e-12)
 
 
 def test_tail_numeric_matches_closed(w_std_m05):
@@ -76,7 +76,7 @@ def test_tail_numeric_matches_closed(w_std_m05):
     numeric = derived_weight(w_std_m05.density_u)
     for r in (0.1, 0.7, 0.99, 1.0 - 2.0 ** -20):
         assert float(numeric.tail_u(1.0 - r)) == pytest.approx(
-            tail(w_std_m05, r), rel=1e-10)
+            w_std_m05.tail(r), rel=1e-10)
 
 
 def test_tail_deep_endpoint_no_underflow(w_std_1):
@@ -89,7 +89,7 @@ def test_tail_deep_endpoint_no_underflow(w_std_1):
 @settings(max_examples=50, deadline=None)
 def test_tail_monotone_decreasing(r):
     w = std_weight(-0.5).normalized()
-    assert tail(w, r) >= tail(w, min(r + 1e-4, 1.0)) - 1e-15
+    assert w.tail(r) >= w.tail(min(r + 1e-4, 1.0)) - 1e-15
 
 
 # --------------------------------------------------------------------------
@@ -244,5 +244,5 @@ def test_carleson_mass_total(w_const):
 def test_table_weight_tail_piecewise():
     # constant samples extend to a globally constant density 2
     w = table_weight([0.0, 0.5, 0.9], [2.0, 2.0, 2.0])
-    assert tail(w, 0.25) == pytest.approx(1.5, rel=1e-12)
-    assert tail(w, 0.75) == pytest.approx(0.5, rel=1e-12)
+    assert w.tail(0.25) == pytest.approx(1.5, rel=1e-12)
+    assert w.tail(0.75) == pytest.approx(0.5, rel=1e-12)
