@@ -215,6 +215,19 @@ def _scaled_coefficients(coeffs, us):
     return mat
 
 
+def _node_weights(n, real):
+    """Weights of the moduli ``_circle_moduli`` returns at n nodes, which sum
+    to 1 over a row: the n/2 + 1 half-spectrum bins of a real row (the inner
+    ones twice), or the n bins of a complex one.  The even bins of n nodes
+    are the n/2 nodes, so ``_node_weights(n // 2, real)`` weights them.
+    """
+    if not real:
+        return np.full(n, 1.0 / n)
+    weights = np.full(n // 2 + 1, 2.0 / n)
+    weights[0] = weights[-1] = 1.0 / n
+    return weights
+
+
 def _circle_moduli(scaled, n):
     """|f| at the n-th roots of unity on every circle, and the node weights.
 
@@ -223,7 +236,7 @@ def _circle_moduli(scaled, n):
     the FFT pads shorter rows itself, so folding is needed only when the
     degree reaches n.  Real rows take the real FFT: by conjugate symmetry
     the n/2 + 1 bins carry every modulus, the inner ones twice, which the
-    returned weights (summing to 1 over a row) account for in means.
+    returned weights (``_node_weights``) account for in means.
     """
     m = scaled.shape[1]
     if m > n:
@@ -231,39 +244,52 @@ def _circle_moduli(scaled, n):
         for lo in range(0, m, n):
             folded[:, :min(n, m - lo)] += scaled[:, lo:lo + n]
         scaled = folded
-    if scaled.dtype.kind == "f":
-        mods = np.abs(np.fft.rfft(scaled, n=n, axis=1))
-        weights = np.full(n // 2 + 1, 2.0 / n)
-        weights[0] = weights[-1] = 1.0 / n
-    else:
-        mods = np.abs(np.fft.fft(scaled, n=n, axis=1))
-        weights = np.full(n, 1.0 / n)
-    return mods, weights
+    real = scaled.dtype.kind == "f"
+    fft = np.fft.rfft if real else np.fft.fft
+    return np.abs(fft(scaled, n=n, axis=1)), _node_weights(n, real)
+
+
+def _start_nodes(least):
+    """(first, start): the least power of two >= ``least`` in [2^7, 2^18],
+    the first N a doubling needs, and the N it samples first, twice that
+    clipped to 2^18.  Below the cap the even subsample of the start's moduli
+    is the first N's, so one FFT gives the first comparison; a first N at
+    the cap has none.
+    """
+    first = 2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, (least - 1).bit_length()))
+    return first, min(2 * first, 2 ** _N_CAP_LOG2)
 
 
 def _doubling_means(scaled, lengths, together, ps, rel_tol):
     """Circle p-means of the rows ``scaled``, shape (len(ps), rows), and
     diags[k][g] (``nodes``, ``last_increment``, ``capped``) of ps[k] in
     stop group g: all rows ``together`` (the radii of one function) or each
-    row alone, lengths[g] coefficients long.  A group starts at the least
-    power of two >= 2 length in [2^7, 2^18] nodes, doubling until a p's
+    row alone, lengths[g] coefficients long.  A group's first N is the
+    least power of two >= 2 length in [2^7, 2^18]; it samples from twice
+    that (clipped to 2^18), comparing the start's mean with the mean of its
+    even nodes, which are the first N's, and doubling until a p's
     successive means agree to ``rel_tol`` on all its rows, or N is 2^18.
-    Moduli are computed once per N, in blocks of <= ``_BLOCK_SAMPLES``
-    samples with one dot product per row: no other row moves a row's bits.
+    So it stops at the N, with the bits, of a loop that samples every N
+    from the first, without sampling the first; a first N at 2^18 has no
+    comparison and caps.  Moduli are computed once per N, in blocks of
+    <= ``_BLOCK_SAMPLES`` samples with one dot product per row: no other
+    row moves a row's bits.
     """
-    starts = [2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, (2 * m - 1).bit_length()))
-              for m in lengths]
+    firsts, starts = zip(*[_start_nodes(2 * m) for m in lengths])
     todo = [set(range(len(lengths))) for _ in ps]      # the groups each p runs
-    means, sums = np.full((2, len(ps), len(scaled)), math.nan)
+    means, sums, halves = np.full((3, len(ps), len(scaled)), math.nan)
     diags = [[None] * len(lengths) for _ in ps]
     n, live = 0, list(range(len(lengths)))
     while live:
         n = max(2 * n, min(starts[g] for g in live))
         now = [g for g in live if starts[g] <= n]       # the groups sampled at n
+        # the groups at their start, whose even nodes are their first N
+        fresh = [g for g in now if starts[g] == n and firsts[g] < n]
         rows = range(len(scaled)) if together else now
         # only a row that starts at the cap is longer than n (and is folded)
         cols = scaled if n >= 2 ** _N_CAP_LOG2 else scaled[:, :n]
         block = max(1, _BLOCK_SAMPLES // n)
+        even = _node_weights(n // 2, scaled.dtype.kind == "f")
         for lo in range(0, len(rows), block):
             ids = rows[lo:lo + block]
             sel = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else ids
@@ -271,12 +297,20 @@ def _doubling_means(scaled, lengths, together, ps, rel_tol):
             for k, p in enumerate(ps):
                 use = [0 in todo[k]] if together else [i in todo[k] for i in ids]
                 if all(use):
-                    sums[k, sel] = np.vecdot(mods ** p, weights)
+                    at, powers = sel, mods ** p
                 elif any(use):
-                    sums[k, np.array(ids)[use]] = np.vecdot(mods[use] ** p, weights)
+                    at, powers = np.array(ids)[use], mods[use] ** p
+                else:
+                    continue
+                sums[k, at] = np.vecdot(powers, weights)
+                if fresh:
+                    halves[k, at] = np.vecdot(powers[:, ::2], even)
+                del powers              # freed before the next FFT, as mods ** p was
+        fresh_rows = (list(rows) if together else fresh) if fresh else []
         for k, p in enumerate(ps):
             # rows not sampled for p at n repeat their means (NaN before their
-            # first N, where errs are NaN too); no group reads them
+            # first comparison, where errs are NaN too); no group reads them
+            means[k, fresh_rows] = halves[k, fresh_rows] ** (1.0 / p)
             vals = sums[k] ** (1.0 / p)
             errs = np.abs(vals - means[k]) / (np.abs(vals) + 1e-300)
             means[k] = vals
@@ -295,13 +329,15 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
 
     Returns (values, diag), values of shape (len(us),) for a scalar p and
     (len(p), len(us)) for a sequence; each p must be finite and > 0.  p = 2
-    is exact (Parseval).  Otherwise N nodes per circle, from the least power
-    of two >= 2d + 2 in [2^7, 2^18], doubling until a p's successive means
-    agree to ``rel_tol`` or N reaches 2^18 (``_doubling_means``, with every
-    radius in one stop group), so each p stops at its own call's N with its
-    bits.  One ``diag``: the ``method`` or the full-circle ``nodes`` and
-    ``last_increment`` of the p that sampled most, ``capped`` if any p hit
-    2^18, and each p's own in ``per_p``.
+    is exact (Parseval).  Otherwise N nodes per circle, doubling until a p's
+    successive means agree to ``rel_tol`` or N reaches 2^18, from the least
+    power of two >= 2d + 2 in [2^7, 2^18]: N starts at twice that (clipped
+    to 2^18), whose even nodes give the first mean to compare with
+    (``_doubling_means``, with every radius in one stop group), so each p
+    stops at its own call's N with its bits; a first N at 2^18 has no
+    comparison and caps.  One ``diag``: the ``method`` or the full-circle
+    ``nodes`` and ``last_increment`` of the p that sampled most, ``capped``
+    if any p hit 2^18, and each p's own in ``per_p``.
     """
     scalar = isinstance(p, (int, float, np.number))
     ps = [float(q) for q in ([p] if scalar else p)]
@@ -337,7 +373,16 @@ def hardy_mean(f, p, r, rel_tol=1e-9):
 
 
 def m_infinity_u(f, us, rel_tol=1e-6):
-    """Grid maxima of |f| on circles (certified lower bounds of M_inf)."""
+    """Grid maxima of |f| on circles (certified lower bounds of M_inf).
+
+    A nonnegative real series peaks at theta = 0, exactly f(r).  Otherwise
+    the first N is the least power of two >= 4d + 4 in [2^9, 2^18]; N
+    starts at twice that (clipped to 2^18), the first comparison is with
+    the maximum over its even nodes, which are the first N's, and N doubles
+    until successive maxima agree to ``rel_tol`` or N is 2^18.  ``diag``:
+    the ``nodes``, the last comparison's ``resolution``, and ``capped`` if
+    that comparison failed, or a first N at 2^18 had none.
+    """
     coeffs = f.coefficients
     us = np.asarray(us, dtype=float)
     if np.all(coeffs.imag == 0) and np.all(coeffs.real >= 0):
@@ -347,18 +392,19 @@ def m_infinity_u(f, us, rel_tol=1e-6):
             return np.zeros(len(us)), {"method": "nonneg-exact"}
         vals = _power_matrix(us, nz) @ coeffs.real[nz]
         return vals, {"method": "nonneg-exact"}
-    d = len(coeffs) - 1
-    n = 2 ** max(9, min(_N_CAP_LOG2, int(math.ceil(math.log2(max(4 * d + 4, 4))))))
+    first, n = _start_nodes(max(4 * len(coeffs), 2 ** 9))
     scaled = _scaled_coefficients(coeffs, us)
-    prev = None
+    mods = _circle_moduli(scaled, n)[0]
+    vals = np.max(mods, axis=1)
+    prev = np.max(mods[:, ::2], axis=1) if first < n else np.full(len(us), math.nan)
+    del mods                    # all radii at once: freed before the next FFT
     while True:
+        err = float(np.max(np.abs(vals - prev) / (np.abs(vals) + 1e-300)))
+        if err < rel_tol or n >= 2 ** _N_CAP_LOG2:
+            return np.fmax(vals, prev), {"nodes": n, "resolution": err,
+                                         "capped": not err < rel_tol}
+        prev, n = vals, 2 * n
         vals = np.max(_circle_moduli(scaled, n)[0], axis=1)
-        if prev is not None:
-            err = np.max(np.abs(vals - prev) / (np.abs(vals) + 1e-300))
-            if err < rel_tol or n >= 2 ** _N_CAP_LOG2:
-                return np.maximum(vals, prev), {"nodes": n, "resolution": float(err)}
-        prev = vals
-        n *= 2
 
 
 def circle_profile(f, cols, rel_tol=None):

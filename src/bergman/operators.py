@@ -59,7 +59,7 @@ class OperatorSetting:
     """
 
     def __init__(self, p, q, weight):
-        if p <= 1 or q <= 1:
+        if not (p > 1 and q > 1):        # NaN fails too
             raise DomainError("operator setting requires p, q > 1")
         if abs(weight.total_mass - 1.0) > 1e-9:
             raise DomainError("operator setting requires a normalized weight")

@@ -715,7 +715,7 @@ def condition_99(w, p):
     operator on A^p_omega.  Scale-invariant decisions: only the tail
     exponent enters the verdict.
     """
-    if p <= 1:
+    if not p > 1:                # NaN fails too
         raise DomainError("condition requires p > 1")
     verdict, m, theta = _integrability_verdict(w, p)
     if verdict == "divergent":
@@ -738,7 +738,7 @@ def muckenhoupt(w, p):
     Gauss panels between neighbouring grid points, which share one tail
     evaluation.
     """
-    if p <= 1:
+    if not p > 1:                # NaN fails too
         raise DomainError("muckenhoupt constant requires p > 1")
     verdict, m, theta = _integrability_verdict(w, p)
     if verdict == "divergent":
@@ -773,7 +773,7 @@ def u_p_weight(w, p):
     (theta + 1)/p < 1; otherwise the mass diverges and the weight does not
     exist (consistent with the weight failing the Muckenhoupt condition).
     """
-    if p <= 1:
+    if not p > 1:                # NaN fails too
         raise DomainError("u_p weight requires p > 1")
     theta = tail_exponent(w)
     if (theta + 1.0) / p >= _DIVERGE_HI:

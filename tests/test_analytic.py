@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergman.analytic import (AnalyticFunction, bergman_norm, binomial_kernel,
-                              circle_profile, dirichlet_norm, hardy_mean,
-                              hardy_means_u, log_kernel, m_infinity_u,
-                              mixed_norm, mixed_norm_sup,
+from bergman.analytic import (AnalyticFunction, _circle_moduli,
+                              _scaled_coefficients, bergman_norm,
+                              binomial_kernel, circle_profile, dirichlet_norm,
+                              hardy_mean, hardy_means_u, log_kernel,
+                              m_infinity_u, mixed_norm, mixed_norm_sup,
                               modulus_of_continuity, parse_function_spec,
                               partial_sum, random_function)
+from bergman.decomposition import block_hardy_norms, partition
 from bergman.errors import DomainError
 from bergman.operators import apply_classical
 from bergman.quadrature import _NODES
@@ -214,6 +216,178 @@ def test_hardy_means_vector_capped_per_p():
 def test_hardy_means_reject_non_finite_p(p):
     with pytest.raises(DomainError):
         hardy_means_u(AnalyticFunction([1.0, 2.0, 3.0]), p, np.array([0.5]))
+
+
+# --------------------------------------------------------------------------
+# the doubling schedule against a loop that samples every N
+
+_CAP = 2 ** 18
+
+
+def _reference_doubling(rows, p, rel_tol=1e-9):
+    """(nodes, capped, means) of the rows stopping together: a fresh FFT at
+    every N from the least power of two >= 2 length in [2^7, 2^18], each
+    N's p-means compared with the N before until they agree or N is 2^18."""
+    n = 2 ** max(7, min(18, (2 * rows.shape[1] - 1).bit_length()))
+    prev = None
+    while True:
+        mods, weights = _circle_moduli(rows, n)
+        vals = np.vecdot(mods ** p, weights) ** (1.0 / p)
+        err = math.nan if prev is None else float(np.max(np.abs(vals - prev) / (vals + 1e-300)))
+        if err < rel_tol or n >= _CAP:
+            return n, not err < rel_tol, vals
+        prev, n = vals, 2 * n
+
+
+def _reference_blocks(f, p, part):
+    """(nodes, capped, norms) of every block of ``part``, one reference loop
+    per block on its slice, trimmed to its last nonzero coefficient."""
+    out = []
+    for lo, hi in part.blocks():
+        sl = f.coefficients[lo:hi]
+        nz = np.nonzero(sl)[0]
+        if not len(nz):
+            out.append((0, False, 0.0))
+            continue
+        sl = sl[:nz[-1] + 1]
+        n, capped, vals = _reference_doubling((sl.real if not sl.imag.any() else sl)[None], p)
+        out.append((n, capped, vals[0]))
+    return [np.array(x) for x in zip(*out)]
+
+
+def _schedule_corpus():
+    # real and complex series whose circles near 1 need several doublings
+    rng = np.random.default_rng(2026)
+    for deg in (5, 40, 130, 300):
+        c = rng.standard_normal(deg + 1)
+        yield AnalyticFunction(c)
+        yield AnalyticFunction(c + 1j * rng.standard_normal(deg + 1))
+
+
+_SCHEDULE_PS = [0.7, 1.5, 3.0, 5.0]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-6])
+def test_hardy_means_stop_where_every_n_is_sampled(rel_tol):
+    # the stop N, the cap flag and the bits of each p are those of the loop
+    # that samples the first N too, instead of its even subsample
+    us = np.array([0.5, 0.05, 1e-3, 1e-5, 0.0])
+    seen = set()
+    for f in _schedule_corpus():
+        vals, diag = hardy_means_u(f, _SCHEDULE_PS, us, rel_tol=rel_tol)
+        scaled = _scaled_coefficients(f.coefficients, us)
+        for k, p in enumerate(_SCHEDULE_PS):
+            n, capped, want = _reference_doubling(scaled, p, rel_tol)
+            mine = diag["per_p"][k]
+            assert (mine["nodes"], mine["capped"]) == (n, capped), (f, p)
+            assert np.array_equal(vals[k], want), (f, p)
+            seen.add(n // max(128, 2 ** (2 * len(f.coefficients) - 1).bit_length()))
+    assert {2, 4}.issubset(seen)          # stops at the start and past it
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_block_hardy_norms_stop_where_every_n_is_sampled(alpha):
+    # each block stops on its own, at the N and with the bits of its own
+    # reference loop
+    seen = set()
+    for f in _schedule_corpus():
+        part = partition(const_weight(1.0), alpha, 300)
+        norms, nodes, capped = block_hardy_norms(f, _SCHEDULE_PS, part)
+        for k, p in enumerate(_SCHEDULE_PS):
+            want_nodes, want_capped, want = _reference_blocks(f, p, part)
+            assert np.array_equal(nodes[k], want_nodes), (f, p)
+            assert np.array_equal(capped[k], want_capped), (f, p)
+            assert np.array_equal(norms[k], want), (f, p)
+            seen.update(nodes[k].tolist())
+    assert {256, 512, 1024}.issubset(seen)
+
+
+@pytest.mark.parametrize("top, capped", [(40000, [True, False]), (_CAP + 5, [True, True])])
+def test_hardy_means_cap_edges(top, capped):
+    # 1 + z^40000 needs 2^17 nodes first: its one FFT at the cap compares
+    # with its even subsample, which is the 2^17 nodes, and caps only where
+    # they differ (p = 1.5 on the unit circle, by 1.5e-9).  A degree past
+    # 2^18 needs the cap first: no comparison, so every p caps
+    c = np.zeros(top + 1)
+    c[0] = c[top] = 1.0
+    f = AnalyticFunction(c)
+    us = np.array([1e-7, 0.0])
+    vals, diag = hardy_means_u(f, [1.5, 3.0], us)
+    scaled = _scaled_coefficients(f.coefficients, us)
+    for k, p in enumerate([1.5, 3.0]):
+        n, cap, want = _reference_doubling(scaled, p)
+        mine = diag["per_p"][k]
+        assert mine["nodes"] == n == _CAP and mine["capped"] is cap is capped[k]
+        assert math.isnan(mine["last_increment"]) is (top > _CAP)
+        assert np.array_equal(vals[k], want)
+
+
+def test_block_hardy_norms_cap_edges():
+    # dyadic blocks [2^n, 2^(n+1)): block 16 holds 1 + z^40000 (shifted),
+    # which needs 2^17 nodes first and is compared at the cap, where only
+    # p = 1.5 caps; block 17 has length 2^17, block 19 one past 2^18
+    # (folded): both need the cap first
+    part = partition(const_weight(1.0), 1.0, 2 ** 20)
+    blocks = part.blocks()
+    c = np.zeros(2 ** 19 + _CAP + 6)
+    c[[0, 3, 2 ** 16, 2 ** 16 + 40000, 2 ** 17, _CAP - 1, 2 ** 19, len(c) - 1]] = 1.0
+    f = AnalyticFunction(c)
+    assert [blocks[n] for n in (16, 17, 19)] == [(2 ** 16, 2 ** 17), (2 ** 17, _CAP),
+                                                 (2 ** 19, 2 ** 20)]
+    norms, nodes, capped = block_hardy_norms(f, [1.5, 3.0], part)
+    for k, (p, want_capped_blocks) in enumerate([(1.5, [16, 17, 19]), (3.0, [17, 19])]):
+        want_nodes, want_capped, want = _reference_blocks(f, p, part)
+        assert np.nonzero(capped[k])[0].tolist() == want_capped_blocks
+        assert nodes[k, [16, 17, 19]].tolist() == [_CAP] * 3
+        assert np.array_equal(nodes[k], want_nodes) and np.array_equal(capped[k], want_capped)
+        assert np.array_equal(norms[k], want)
+
+
+def _reference_m_infinity(f, us, rel_tol=1e-6):
+    """(nodes, maxima) of grid maxima with a fresh FFT at every N from the
+    least power of two >= 4d + 4 (below 2^18), until successive maxima
+    agree or N is 2^18."""
+    scaled = _scaled_coefficients(f.coefficients, us)
+    n = 2 ** max(9, min(18, (4 * len(f.coefficients) - 1).bit_length()))
+    prev = None
+    while True:
+        vals = np.max(_circle_moduli(scaled, n)[0], axis=1)
+        if prev is not None and (np.max(np.abs(vals - prev) / (vals + 1e-300)) < rel_tol
+                                 or n >= _CAP):
+            return n, np.maximum(vals, prev)
+        prev, n = vals, 2 * n
+
+
+def test_m_infinity_stops_where_every_n_is_sampled():
+    # the same N as sampling the first N too; at a stop on the first
+    # comparison the maximum of the even subsample is already in the
+    # grid, so only a separate FFT's rounding of it can differ
+    us = np.array([0.5, 0.05, 1e-3, 0.0])
+    seen = set()
+    for f in _schedule_corpus():
+        vals, diag = m_infinity_u(f, us)
+        n, want = _reference_m_infinity(f, us)
+        assert diag["nodes"] == n and diag["capped"] is False
+        assert diag["resolution"] < 1e-6
+        assert np.allclose(vals, want, rtol=1e-15, atol=0)
+        seen.add(n)
+    assert len(seen) > 1
+
+
+def test_m_infinity_stays_within_node_cap():
+    # 1 - z^40000 + 0.5 z^7 needs 2^18 nodes first: one FFT at the cap and
+    # no comparison, so it caps (it once doubled to 2^19 to compare);
+    # hardy_means_u on it stops at the cap too
+    c = np.zeros(40001)
+    c[0], c[7], c[40000] = 1.0, 0.5, -1.0
+    f = AnalyticFunction(c)
+    us = np.array([1e-3, 0.0])
+    vals, diag = m_infinity_u(f, us)
+    assert diag["nodes"] == _CAP and diag["capped"] is True
+    assert math.isnan(diag["resolution"])
+    mods = _circle_moduli(_scaled_coefficients(f.coefficients, us), _CAP)[0]
+    assert np.array_equal(vals, np.max(mods, axis=1))
+    assert hardy_means_u(f, 3.0, us)[1]["nodes"] == _CAP
 
 
 @pytest.mark.parametrize("rel_tol", [None, 1e-3])

@@ -223,6 +223,25 @@ def test_out_of_range_input_is_an_error(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["weights", "inspect", "--weight", "std(alpha=0.5)", "--p", "nan"],
+    ["apply", "--g", "poly(0,1,2)", "--f", "poly(1)", "--weight", "std(alpha=-0.5)",
+     "--p", "nan"],
+    ["apply", "--g", "poly(0,1,2)", "--f", "poly(1)", "--weight", "std(alpha=-0.5)",
+     "--q", "nan"],
+], ids=["inspect-p-nan", "apply-p-nan", "apply-q-nan"])
+def test_nan_exponent_error_names_it(capsys, argv):
+    # a NaN p passed the p <= 1 checks and failed later as a quadrature
+    # that never converged; the one error line must name the exponent
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "p > 1" in lines[0] or "p, q > 1" in lines[0]
+    assert "convergence" not in lines[0]
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["no-such-subcommand"]) == 2
     assert main([]) == 2
