@@ -1,20 +1,23 @@
 """Analytic functions as truncated Maclaurin series, and their norms.
 
-Functions are finite coefficient lists.  Circle means M_p(r, f) are
-computed by uniform sampling at the N-th roots of unity via the FFT,
-doubling N until the p-mean stabilizes.  One doubling loop serves several
-p and many coefficient rows: the radii of one function, which stop
-together, or the blocks of a decomposition on the unit circle, each
-stopping on its own.  The moduli at each N are computed once, in row
-blocks that bound the FFT temporaries.  The scaled coefficients c_k r^k
-are built once per call, for all radii at once.  Sampling a degree-d
-polynomial at N points is the DFT of that row folded modulo N, exact for
-every N; the FFT zero-pads the row itself, so the fold happens only when
-d + 1 > N, i.e. at the 2^18 node cap.  Real coefficients (every corpus
-function, operator image and symbol in the scenarios) take the real FFT:
-|f| is symmetric under conjugation, so the N/2 + 1 bins of the half
-spectrum give the mean, the inner bins weighted twice.  For p = 2 Parseval
-gives a direct coefficient formula which is used as a fast path.
+Functions are finite coefficient lists.  Circle means M_p(r, f) and the
+grid maxima behind M_inf are computed by uniform sampling at the N-th roots
+of unity via the FFT, doubling N until the mean at N agrees with the mean
+over its even nodes, which are the N/2 nodes of the same FFT.  One doubling
+loop, ``_doubling_means``, serves every p, M_inf included, and many
+coefficient rows in stop groups: the radii of one function stop together,
+the blocks of a decomposition on the unit circle each on their own.  The
+moduli at each N are computed once, in row blocks that bound the FFT
+temporaries.  The scaled coefficients c_k r^k are built once per call, for
+all radii at once.  Sampling a degree-d polynomial at N points is the DFT
+of that row folded modulo N, exact for every N; the FFT zero-pads the row
+itself, so the fold happens only when d + 1 > N, i.e. at the 2^18 node
+cap.  Real coefficients (every corpus function, operator image and symbol
+in the scenarios) take the real FFT: |f| is symmetric under conjugation,
+so the N/2 + 1 bins of the half spectrum give the mean, the inner bins
+weighted twice.  For p = 2 Parseval gives a direct coefficient formula
+which is used as a fast path.  A circle mean that hits the node cap makes
+the norms built on it ``undetermined``, never ``finite``.
 
 Radial norm integrals reuse the geometric-panel scheme of quadrature.py in
 u = 1 - r.  Their integrands come from one builder, ``circle_profile``: one
@@ -36,7 +39,7 @@ from . import spec
 from .spec import REQUIRED
 from .errors import DomainError
 from .quadrature import _WEIGHTS, gauss_panels, geometric_u_grid
-from .results import finite
+from .results import finite, undetermined
 
 __all__ = [
     "AnalyticFunction",
@@ -249,43 +252,36 @@ def _circle_moduli(scaled, n):
     return np.abs(fft(scaled, n=n, axis=1)), _node_weights(n, real)
 
 
-def _start_nodes(least):
-    """(first, start): the least power of two >= ``least`` in [2^7, 2^18],
-    the first N a doubling needs, and the N it samples first, twice that
-    clipped to 2^18.  Below the cap the even subsample of the start's moduli
-    is the first N's, so one FFT gives the first comparison; a first N at
-    the cap has none.
-    """
-    first = 2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, (least - 1).bit_length()))
-    return first, min(2 * first, 2 ** _N_CAP_LOG2)
+def _doubling_means(scaled, group, least, ps, rel_tol):
+    """Circle means of the rows ``scaled``, shape (len(ps), rows), and
+    diags[k][g] (``nodes``, ``last_increment``, ``capped``) of ps[k] in stop
+    group g.  ``group[i]`` is row i's stop group (each group's rows are
+    contiguous) and ``least[g]`` the group's least node count.  A finite p
+    gives the p-mean, p = inf the grid maximum.
 
-
-def _doubling_means(scaled, lengths, together, ps, rel_tol):
-    """Circle p-means of the rows ``scaled``, shape (len(ps), rows), and
-    diags[k][g] (``nodes``, ``last_increment``, ``capped``) of ps[k] in
-    stop group g: all rows ``together`` (the radii of one function) or each
-    row alone, lengths[g] coefficients long.  A group's first N is the
-    least power of two >= 2 length in [2^7, 2^18]; it samples from twice
-    that (clipped to 2^18), comparing the start's mean with the mean of its
-    even nodes, which are the first N's, and doubling until a p's
-    successive means agree to ``rel_tol`` on all its rows, or N is 2^18.
-    So it stops at the N, with the bits, of a loop that samples every N
-    from the first, without sampling the first; a first N at 2^18 has no
-    comparison and caps.  Moduli are computed once per N, in blocks of
-    <= ``_BLOCK_SAMPLES`` samples with one dot product per row: no other
-    row moves a row's bits.
+    The schedule: a group's first N is the least power of two >= least[g]
+    in [2^7, 2^18], and it is sampled from twice that (clipped to 2^18),
+    doubling.  Each N stands on its own: its mean is compared with the mean
+    over its even nodes, which are the N/2 nodes, and a p stops in a group
+    once the two agree to ``rel_tol`` on every row of the group, or N is
+    2^18.  So a group stops at the N, with the bits, of a loop that samples
+    every N from the first and compares successive N.  A first N at 2^18
+    has no N/2 to compare with and caps; a group without rows stops at its
+    start.  Moduli are computed once per N, in blocks of <= ``_BLOCK_SAMPLES``
+    samples with one reduction per row: no other row moves a row's bits.
     """
-    firsts, starts = zip(*[_start_nodes(2 * m) for m in lengths])
-    todo = [set(range(len(lengths))) for _ in ps]      # the groups each p runs
-    means, sums, halves = np.full((3, len(ps), len(scaled)), math.nan)
-    diags = [[None] * len(lengths) for _ in ps]
-    n, live = 0, list(range(len(lengths)))
+    spans = np.searchsorted(group, np.arange(len(least) + 1)).tolist()
+    firsts = [2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, (m - 1).bit_length())) for m in least]
+    starts = [min(2 * first, 2 ** _N_CAP_LOG2) for first in firsts]
+    roots = [1.0 / p if p < math.inf else 1.0 for p in ps]
+    todo = [set(range(len(least))) for _ in ps]         # the groups each p runs
+    sums, halves = np.full((2, len(ps), len(scaled)), math.nan)
+    diags = [[None] * len(least) for _ in ps]
+    n, live = 0, range(len(least))
     while live:
         n = max(2 * n, min(starts[g] for g in live))
         now = [g for g in live if starts[g] <= n]       # the groups sampled at n
-        # the groups at their start, whose even nodes are their first N
-        fresh = [g for g in now if starts[g] == n and firsts[g] < n]
-        rows = range(len(scaled)) if together else now
+        rows = [i for g in now for i in range(spans[g], spans[g + 1])]
         # only a row that starts at the cap is longer than n (and is folded)
         cols = scaled if n >= 2 ** _N_CAP_LOG2 else scaled[:, :n]
         block = max(1, _BLOCK_SAMPLES // n)
@@ -295,33 +291,33 @@ def _doubling_means(scaled, lengths, together, ps, rel_tol):
             sel = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else ids
             mods, weights = _circle_moduli(cols[sel], n)
             for k, p in enumerate(ps):
-                use = [0 in todo[k]] if together else [i in todo[k] for i in ids]
+                use = [group[i] in todo[k] for i in ids]
                 if all(use):
-                    at, powers = sel, mods ** p
+                    at, part = sel, mods
                 elif any(use):
-                    at, powers = np.array(ids)[use], mods[use] ** p
+                    at, part = np.array(ids)[use], mods[use]
                 else:
                     continue
+                if p == math.inf:
+                    sums[k, at], halves[k, at] = part.max(axis=1), part[:, ::2].max(axis=1)
+                    continue
+                powers = part ** p
                 sums[k, at] = np.vecdot(powers, weights)
-                if fresh:
-                    halves[k, at] = np.vecdot(powers[:, ::2], even)
+                halves[k, at] = np.vecdot(powers[:, ::2], even)
                 del powers              # freed before the next FFT, as mods ** p was
-        fresh_rows = (list(rows) if together else fresh) if fresh else []
-        for k, p in enumerate(ps):
-            # rows not sampled for p at n repeat their means (NaN before their
-            # first comparison, where errs are NaN too); no group reads them
-            means[k, fresh_rows] = halves[k, fresh_rows] ** (1.0 / p)
-            vals = sums[k] ** (1.0 / p)
-            errs = np.abs(vals - means[k]) / (np.abs(vals) + 1e-300)
-            means[k] = vals
-            errs = [float(errs.max())] if together else errs.tolist()
+        for k, root in enumerate(roots):
+            vals = sums[k] ** root
+            errs = np.abs(vals - halves[k] ** root) / (vals + 1e-300)
             for g in [g for g in now if g in todo[k]]:
-                if errs[g] < rel_tol or n >= 2 ** _N_CAP_LOG2:
-                    diags[k][g] = {"nodes": n, "last_increment": errs[g],
-                                   "capped": not errs[g] < rel_tol}
+                lo, hi = spans[g], spans[g + 1]
+                err = float(errs[lo:hi].max(initial=0.0)) if firsts[g] < n or lo == hi \
+                    else math.nan
+                if err < rel_tol or n >= 2 ** _N_CAP_LOG2:
+                    diags[k][g] = {"nodes": n, "last_increment": err,
+                                   "capped": not err < rel_tol}
                     todo[k].discard(g)
         live = sorted(set().union(*todo))
-    return means, diags
+    return np.array([s ** root for s, root in zip(sums, roots)]), diags
 
 
 def hardy_means_u(f, p, us, rel_tol=1e-9):
@@ -329,15 +325,11 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
 
     Returns (values, diag), values of shape (len(us),) for a scalar p and
     (len(p), len(us)) for a sequence; each p must be finite and > 0.  p = 2
-    is exact (Parseval).  Otherwise N nodes per circle, doubling until a p's
-    successive means agree to ``rel_tol`` or N reaches 2^18, from the least
-    power of two >= 2d + 2 in [2^7, 2^18]: N starts at twice that (clipped
-    to 2^18), whose even nodes give the first mean to compare with
-    (``_doubling_means``, with every radius in one stop group), so each p
-    stops at its own call's N with its bits; a first N at 2^18 has no
-    comparison and caps.  One ``diag``: the ``method`` or the full-circle
-    ``nodes`` and ``last_increment`` of the p that sampled most, ``capped``
-    if any p hit 2^18, and each p's own in ``per_p``.
+    is exact (Parseval).  Other p take the ``_doubling_means`` schedule with
+    every radius in one stop group and least 2d + 2 nodes, so each p stops
+    at its own call's N with its bits.  One ``diag``: the ``method`` or the
+    full-circle ``nodes`` and ``last_increment`` of the p that sampled most,
+    ``capped`` if any p hit 2^18, and each p's own in ``per_p``.
     """
     scalar = isinstance(p, (int, float, np.number))
     ps = [float(q) for q in ([p] if scalar else p)]
@@ -355,8 +347,8 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
             if len(nz) else 0.0
     odd = [k for k, q in enumerate(ps) if q != 2]
     if odd:
-        means[odd], diags = _doubling_means(_scaled_coefficients(coeffs, us), [len(coeffs)],
-                                            True, [ps[k] for k in odd], rel_tol)
+        means[odd], diags = _doubling_means(_scaled_coefficients(coeffs, us), [0] * len(us),
+                                            [2 * len(coeffs)], [ps[k] for k in odd], rel_tol)
         for k, dk in zip(odd, diags):
             per_p[k] = dk[0]
     # the p that sampled most (the last of them on ties) speaks for the call
@@ -376,35 +368,21 @@ def m_infinity_u(f, us, rel_tol=1e-6):
     """Grid maxima of |f| on circles (certified lower bounds of M_inf).
 
     A nonnegative real series peaks at theta = 0, exactly f(r).  Otherwise
-    the first N is the least power of two >= 4d + 4 in [2^9, 2^18]; N
-    starts at twice that (clipped to 2^18), the first comparison is with
-    the maximum over its even nodes, which are the first N's, and N doubles
-    until successive maxima agree to ``rel_tol`` or N is 2^18.  ``diag``:
-    the ``nodes``, the last comparison's ``resolution``, and ``capped`` if
-    that comparison failed, or a first N at 2^18 had none.
+    the maxima take the ``_doubling_means`` schedule with every radius in
+    one stop group and least max(4d + 4, 2^9) nodes.  ``diag``: the
+    ``nodes``, the last comparison's ``resolution``, and ``capped`` if that
+    comparison failed at 2^18, or a first N at 2^18 had none.
     """
     coeffs = f.coefficients
     us = np.asarray(us, dtype=float)
     if np.all(coeffs.imag == 0) and np.all(coeffs.real >= 0):
         # triangle equality: the maximum sits at theta = 0 and equals f(r)
         nz = np.nonzero(coeffs.real)[0]
-        if len(nz) == 0:
-            return np.zeros(len(us)), {"method": "nonneg-exact"}
-        vals = _power_matrix(us, nz) @ coeffs.real[nz]
-        return vals, {"method": "nonneg-exact"}
-    first, n = _start_nodes(max(4 * len(coeffs), 2 ** 9))
-    scaled = _scaled_coefficients(coeffs, us)
-    mods = _circle_moduli(scaled, n)[0]
-    vals = np.max(mods, axis=1)
-    prev = np.max(mods[:, ::2], axis=1) if first < n else np.full(len(us), math.nan)
-    del mods                    # all radii at once: freed before the next FFT
-    while True:
-        err = float(np.max(np.abs(vals - prev) / (np.abs(vals) + 1e-300)))
-        if err < rel_tol or n >= 2 ** _N_CAP_LOG2:
-            return np.fmax(vals, prev), {"nodes": n, "resolution": err,
-                                         "capped": not err < rel_tol}
-        prev, n = vals, 2 * n
-        vals = np.max(_circle_moduli(scaled, n)[0], axis=1)
+        return _power_matrix(us, nz) @ coeffs.real[nz], {"method": "nonneg-exact"}
+    (vals,), [[diag]] = _doubling_means(_scaled_coefficients(coeffs, us), [0] * len(us),
+                                        [max(4 * len(coeffs), 2 ** 9)], [math.inf], rel_tol)
+    diag["resolution"] = diag.pop("last_increment")
+    return vals, diag
 
 
 def circle_profile(f, cols, rel_tol=None):
@@ -414,17 +392,24 @@ def circle_profile(f, cols, rel_tol=None):
     from ``m_infinity_u``, each at ``rel_tol`` (None keeps each one's own
     default), so a column's row is that function's value raised to q, bit
     for bit.  The profile feeds ``weighted_radial_integral`` one column per
-    weight, or ``mixed_norm_sup`` at q = 1.
+    weight, or ``mixed_norm_sup`` at q = 1.  Its ``capped`` is true once a
+    call it made hit the 2^18 node cap.
     """
     ps = list(dict.fromkeys(p for p, _ in cols if p != math.inf))
     tol = {} if rel_tol is None else {"rel_tol": rel_tol}
 
     def profile(u):
-        means = dict(zip(ps, hardy_means_u(f, ps, u, **tol)[0])) if ps else {}
+        means = {}
+        if ps:
+            vals, diag = hardy_means_u(f, ps, u, **tol)
+            means.update(zip(ps, vals))
+            profile.capped |= diag["capped"]
         if any(p == math.inf for p, _ in cols):
-            means[math.inf] = m_infinity_u(f, u, **tol)[0]
+            means[math.inf], diag = m_infinity_u(f, u, **tol)
+            profile.capped |= diag.get("capped", False)     # the shortcut samples nothing
         return np.array([means[p] ** q for p, q in cols])
 
+    profile.capped = False
     return profile
 
 
@@ -449,7 +434,8 @@ def _slice_norms(coeffs, bounds, ps):
             mat = np.zeros((len(ids), max(lengths)), dtype=src.dtype)
             for row, (lo, hi) in zip(mat, [bounds[j] for j in ids]):
                 row[:hi - lo] = src[lo:hi]
-            means, diags = _doubling_means(mat, lengths, False, [ps[k] for k in odd], 1e-9)
+            means, diags = _doubling_means(mat, range(len(ids)), [2 * m for m in lengths],
+                                           [ps[k] for k in odd], 1e-9)
             for k, mk, dk in zip(odd, means, diags):
                 vals[k, ids] = mk
                 nodes[k, ids], capped[k, ids] = zip(*[(d["nodes"], d["capped"]) for d in dk])
@@ -538,7 +524,8 @@ def bergman_norm(f, p, w):
     """Bergman norm: (2 integral of M_p^p(r,f) omega(r) r dr)^(1/p).
 
     p = 2 with a closed-tail weight reduces to the exact coefficient sum
-    2 sum |a_k|^2 omega_k via the radial moments.
+    2 sum |a_k|^2 omega_k via the radial moments.  A capped circle mean
+    makes it ``undetermined``, as in ``mixed_norm`` and ``mixed_norm_sup``.
     """
     if not 0 < p < math.inf:
         raise DomainError("bergman norm requires finite p > 0")
@@ -552,8 +539,11 @@ def bergman_norm(f, p, w):
             val = 2.0 * float(mags @ w.moments_upto(len(c) - 1))
         return finite(val ** 0.5, method="closed-form", convention="area")
 
-    val, diag = weighted_radial_integral(circle_profile(f, [(p, p)]), w, include_r=True)
+    profile = circle_profile(f, [(p, p)])
+    val, diag = weighted_radial_integral(profile, w, include_r=True)
     diag["convention"] = "area"
+    if profile.capped:
+        return undetermined(method="quadrature", capped=True, **diag)
     return finite((2.0 * val) ** (1.0 / p), method="quadrature", **diag)
 
 
@@ -568,7 +558,10 @@ def mixed_norm(f, p, q, w, gamma=0.0):
         raise DomainError("mixed norm requires finite q > 0")
     if not gamma >= 0:
         raise DomainError("mixed norm requires gamma >= 0")
-    val, diag = weighted_radial_integral(circle_profile(f, [(p, q)]), w, gamma=gamma)
+    profile = circle_profile(f, [(p, q)])
+    val, diag = weighted_radial_integral(profile, w, gamma=gamma)
+    if profile.capped:
+        return undetermined(method="quadrature", capped=True, **diag)
     return finite(val ** (1.0 / q), method="quadrature", **diag)
 
 
@@ -578,7 +571,10 @@ _SUP_GRID = geometric_u_grid(40, 4)
 def mixed_norm_sup(f, p, w, beta=0.0, gamma=0.0):
     """sup over r of M_p(r, f) (1-r)^gamma what(r)^beta on the geometric grid."""
     us = _SUP_GRID
-    vals = circle_profile(f, [(p, 1.0)])(us)[0]
+    profile = circle_profile(f, [(p, 1.0)])
+    vals = profile(us)[0]
+    if profile.capped:
+        return undetermined(method="sup-grid", capped=True, grid_size=len(us))
     if gamma:
         vals = vals * us ** gamma
     if beta:
@@ -595,6 +591,8 @@ def lambda_norm(g, q, alpha, eta, w):
     if eta < 0:
         raise DomainError("lambda norm requires eta >= 0")
     sup = mixed_norm_sup(g.derivative(), q, w, beta=-eta, gamma=1.0 - alpha)
+    if sup.verdict != "finite":
+        return sup
     return finite(sup.value + abs(complex(g.coefficients[0])),
                   method="sup-grid", **sup.diagnostics)
 

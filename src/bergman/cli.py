@@ -14,7 +14,8 @@ hs                Hilbert-Schmidt partial sums as CSV (to --out if given),
                   or "hs_limit: undetermined" (fewer than 8 sums)
 lacunary          gap test and coefficient-moment sum for a gap series
 verify            run a named verification scenario, write its report
-norms             norm battery for one function against one weight
+norms             norm battery for one function against one weight; a
+                  norm whose circle means hit the node cap is an error
 
 Weight specs:   const(c=1) | std(alpha=A) | pow(beta=B) | logpow(beta=B)
                 | logprod(alpha=A[,n=N]) | osc() | table(path=FILE)
@@ -37,9 +38,10 @@ import sys
 
 from . import decomposition as dec
 from . import operators as ops
-from .analytic import (bergman_norm, hardy_mean, mixed_norm, mixed_norm_sup,
+from .analytic import (bergman_norm, hardy_means_u, mixed_norm, mixed_norm_sup,
                        parse_function_spec)
 from .errors import DomainError, QuadratureDivergence
+from .results import finite
 from .verify import run_scenario, write_report
 from .weights import (classify, condition_99, muckenhoupt, parse_weight,
                       tail_exponent)
@@ -171,12 +173,17 @@ def _cmd_verify(args):
 def _cmd_norms(args):
     w = parse_weight(args.weight).normalized()
     f = parse_function_spec(args.f)
-    lines = ["bergman_p%g: " % args.p + _F % float(bergman_norm(f, args.p, w)),
-             "mixed_p%g_q%g_gamma%g: " % (args.p, args.q, args.gamma)
-             + _F % float(mixed_norm(f, args.p, args.q, w, gamma=args.gamma)),
-             "mixed_sup_p%g: " % args.p + _F % float(mixed_norm_sup(f, args.p, w)),
-             "hardy_p%g: " % args.p + _F % hardy_mean(f, args.p, 1.0)]
-    _emit(lines, args.out)
+    rows = [("bergman_p%g" % args.p, bergman_norm(f, args.p, w)),
+            ("mixed_p%g_q%g_gamma%g" % (args.p, args.q, args.gamma),
+             mixed_norm(f, args.p, args.q, w, gamma=args.gamma)),
+            ("mixed_sup_p%g" % args.p, mixed_norm_sup(f, args.p, w))]
+    hardy, diag = hardy_means_u(f, args.p, [0.0])
+    rows.append(("hardy_p%g" % args.p, finite(hardy[0], capped=diag["capped"])))
+    capped = [name for name, v in rows if v.diagnostics.get("capped")]
+    if capped:
+        raise DomainError("the circle means behind %s hit the 2^18 node cap: "
+                          "undetermined" % ", ".join(capped))
+    _emit(["%s: " % name + _F % float(v) for name, v in rows], args.out)
     return 0
 
 

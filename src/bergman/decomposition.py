@@ -80,35 +80,33 @@ def _mark_from_u(u):
 
     When 1/u sits within relative 1e-9 of an integer the floor is
     discontinuous under quadrature noise; we snap to the nearest integer
-    and flag the tie so fixtures stay stable.
+    so fixtures stay stable.
     """
     if u <= 0.0:
-        return None, False
+        return None
     x = 1.0 / u
     nearest = round(x)
     if nearest >= 1 and abs(x - nearest) <= _TIE_TOL * max(1.0, x):
-        return int(nearest), True
-    return int(math.floor(x)), False
+        return int(nearest)
+    return int(math.floor(x))
 
 
 class BlockPartition:
     """Radii, marks and index blocks of an (omega, alpha) decomposition.
 
-    Immutable after construction.  ``marks`` lists M_0..M_K with
-    M_K > max_degree when the partition fully covers the requested degree
-    range; for rapidly increasing weights the marks explode doubly
-    exponentially and the partition stops at the cap, reporting partial
-    coverage via ``complete`` and ``covered_degree``.
+    Immutable after construction.  ``marks`` lists M_0..M_K with M_K past
+    the requested degree when the partition fully covers it; for rapidly
+    increasing weights the marks explode doubly exponentially and the
+    partition stops at the cap, reporting partial coverage via ``complete``
+    and ``covered_degree``.
     """
 
-    def __init__(self, weight, alpha, us, marks, max_degree, near_ties, complete):
+    def __init__(self, weight, alpha, us, marks, complete):
         self.weight = weight
         self.alpha = float(alpha)
         self.us = tuple(us)                      # u_n = 1 - r_n
         self.radii = tuple(1.0 - u for u in us)
         self.marks = tuple(marks)
-        self.max_degree = int(max_degree)
-        self.near_ties = tuple(near_ties)        # indices n where 1/u_n was a tie
         self.complete = bool(complete)
         self._mark_cache = {}                    # continuation marks beyond K
         self._validate()
@@ -196,21 +194,18 @@ def partition(w, alpha, max_degree):
         raise DomainError("max_degree must be nonnegative")
     us = [1.0]
     marks = [1]
-    ties = []
     complete = True
     n = 0
     while marks[-1] <= max_degree:
         n += 1
         u = _solve_radius_u(w, 2.0 ** (-n * alpha))
-        m, tie = _mark_from_u(u)
+        m = _mark_from_u(u)
         if m is None or m > _MARK_CAP:
             complete = False
             break
         us.append(u)
         marks.append(m)
-        if tie:
-            ties.append(n)
-    return BlockPartition(w, alpha, us, marks, max_degree, ties, complete)
+    return BlockPartition(w, alpha, us, marks, complete)
 
 
 def block(f, part, n):

@@ -380,24 +380,22 @@ def test_function_Q(g, rho, setting, k_max=1024):
 # ---------------------------------------------------------------------------
 # operator-norm estimates
 
-def operator_norm_lower(g, setting, part, n_max=6, gamma=None):
+def operator_norm_lower(g, setting, part, n_max=6):
     """Lower bound for ||H_g|| via the theorem-side test families.
 
     Maximizes bergman_norm(H_g f, q) / bergman_norm(f, p) over the kernel
-    family f_(M_n), n <= n_max (regime q >= p) or the Q_rho family on
-    rho in ``_Q_RHOS`` (regime q < p).
+    family f_(M_n) at gamma = p + 2, n <= n_max (regime q >= p) or the
+    Q_rho family on rho in ``_Q_RHOS`` (regime q < p).
     """
     setting.require_well_defined()
     if not np.any(g.coefficients[1:]):
         return 0.0
     w = setting.weight
-    if gamma is None:
-        gamma = setting.p + 2.0
     k_max = max(g.degree - 1, 0)
     best = 0.0
     if setting.q >= setting.p:
         for n in range(min(n_max + 1, len(part.marks))):
-            f = test_function_fN(setting, gamma, n, part)
+            f = test_function_fN(setting, setting.p + 2.0, n, part)
             img = apply_generalized(g, f, k_max, setting)
             num = float(bergman_norm(img, setting.q, w))
             den = float(bergman_norm(f, setting.p, w))
@@ -462,7 +460,7 @@ def hs_limit_estimate(partial_sums):
     return float(s[-1] + incs[-1] * r / (1.0 - r)), "finite"
 
 
-def suma_ratio(w, k, n_max=None):
+def suma_ratio(w, k):
     """Ratio of  sum_n 1/((n+k+1)^2 omega_n)  to  1/((k+1) omega_k).
 
     The sum is truncated adaptively with a power-law tail estimate fitted
@@ -472,8 +470,7 @@ def suma_ratio(w, k, n_max=None):
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
-    if n_max is None:
-        n_max = max(4096, 32 * (k + 1)) if w.has_closed_moments else 512
+    n_max = max(4096, 32 * (k + 1)) if w.has_closed_moments else 512
     ns = np.arange(n_max + 1, dtype=float)
     om = np.asarray(w.moments_upto(n_max), dtype=float)
     terms = 1.0 / ((ns + k + 1.0) ** 2 * om)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from bergman.analytic import (AnalyticFunction, _circle_moduli,
                               _scaled_coefficients, bergman_norm,
                               binomial_kernel, circle_profile, dirichlet_norm,
-                              hardy_mean, hardy_means_u, log_kernel,
-                              m_infinity_u, mixed_norm, mixed_norm_sup,
+                              hardy_mean, hardy_means_u, lambda_norm,
+                              log_kernel, m_infinity_u, mixed_norm,
+                              mixed_norm_sup,
                               modulus_of_continuity, parse_function_spec,
                               partial_sum, random_function)
 from bergman.decomposition import block_hardy_norms, partition
@@ -190,15 +191,21 @@ def test_hardy_means_vector_equals_scalar_calls():
 
 def test_hardy_means_blocks_do_not_move_bits(monkeypatch):
     # the row-block budget changes memory, never values: one row per block
-    # and all rows in one block agree with the default bit for bit
+    # and all rows in one block agree with the default bit for bit, for the
+    # p-means and for the grid maxima (alternating signs keep M_inf off its
+    # nonnegative shortcut)
     import bergman.analytic as analytic
     img, us = _cor_hilb_chunk()
-    ref, d_ref = hardy_means_u(img, [1.5, 3.0], us, rel_tol=1e-6)
-    assert d_ref["nodes"] * len(us) > analytic._BLOCK_SAMPLES
+    signed = AnalyticFunction(img.coefficients * (-1.0) ** np.arange(img.degree + 1))
+    calls = [lambda: hardy_means_u(img, [1.5, 3.0], us, rel_tol=1e-6),
+             lambda: m_infinity_u(signed, us)]
+    refs = [call() for call in calls]
+    assert all(d_ref["nodes"] * len(us) > analytic._BLOCK_SAMPLES for _, d_ref in refs)
     for budget in (1, 2 ** 40):
         monkeypatch.setattr(analytic, "_BLOCK_SAMPLES", budget)
-        vals, diag = hardy_means_u(img, [1.5, 3.0], us, rel_tol=1e-6)
-        assert np.array_equal(vals, ref) and diag == d_ref
+        for call, (ref, d_ref) in zip(calls, refs):
+            vals, diag = call()
+            assert np.array_equal(vals, ref) and diag == d_ref
 
 
 def test_hardy_means_vector_capped_per_p():
@@ -390,6 +397,43 @@ def test_m_infinity_stays_within_node_cap():
     assert hardy_means_u(f, 3.0, us)[1]["nodes"] == _CAP
 
 
+def test_stop_gap_is_the_even_subsample():
+    # at the stop N, last_increment (resolution for M_inf) is the relative
+    # gap between the N-point mean and the mean over its even nodes, both
+    # from that N's one FFT: no mean is carried over from the N before
+    us = np.array([0.5, 0.05, 1e-3, 1e-5, 0.0])
+    past_start = 0
+    for f in _schedule_corpus():
+        scaled = _scaled_coefficients(f.coefficients, us)
+        m = len(f.coefficients)
+        _, diag = hardy_means_u(f, _SCHEDULE_PS, us)
+        for p, mine in zip(_SCHEDULE_PS, diag["per_p"]):
+            n = mine["nodes"]
+            mods, weights = _circle_moduli(scaled, n)
+            powers = mods ** p
+            full = np.vecdot(powers, weights) ** (1.0 / p)
+            half = np.vecdot(powers[:, ::2], _circle_moduli(scaled, n // 2)[1]) ** (1.0 / p)
+            assert mine["last_increment"] == np.max(np.abs(full - half) / (full + 1e-300))
+            past_start += n > 2 * max(128, 2 ** (2 * m - 1).bit_length())
+        _, diag = m_infinity_u(f, us)
+        mods = _circle_moduli(scaled, diag["nodes"])[0]
+        top = mods.max(axis=1)
+        assert diag["resolution"] == np.max((top - mods[:, ::2].max(axis=1)) / (top + 1e-300))
+        past_start += diag["nodes"] > 2 * max(512, 2 ** (4 * m - 1).bit_length())
+    assert past_start
+
+
+def test_empty_radii_give_empty_values():
+    f = AnalyticFunction([1.0, -2.0, 0.5])
+    none = np.array([])
+    for vals, diag in (hardy_means_u(f, 3.0, none), m_infinity_u(f, none)):
+        assert vals.shape == (0,) and diag["capped"] is False
+    vals, diag = hardy_means_u(f, [1.5, 2.0, 3.0], none)
+    assert vals.shape == (3, 0) and diag["capped"] is False
+    profile = circle_profile(f, [(3.0, 2.0), (2.0, 1.0), (math.inf, 1.0)])
+    assert profile(none).shape == (3, 0) and profile.capped is False
+
+
 @pytest.mark.parametrize("rel_tol", [None, 1e-3])
 def test_circle_profile_rows_equal_per_column_calls(rel_tol):
     # a repeated p, p = 2 (Parseval), p = inf and q != p: each row is its
@@ -453,6 +497,20 @@ def test_mixed_norms_keep_p_infinity(w_std_m05):
     for p in (math.nan, math.inf):
         with pytest.raises(DomainError):
             bergman_norm(f, p, w_std_m05)
+
+
+def test_capped_circle_means_are_undetermined(monkeypatch, w_std_m05):
+    # with the node cap at 2^9 a degree-300 series needs the cap first, so
+    # its p-means and grid maxima cap: no norm built on them is finite
+    import bergman.analytic as analytic
+    monkeypatch.setattr(analytic, "_N_CAP_LOG2", 9)
+    f = random_function(300, 1, "sym")
+    for value in (bergman_norm(f, 3.0, w_std_m05),
+                  mixed_norm(f, 3.0, 2.0, w_std_m05), mixed_norm(f, math.inf, 2.0, w_std_m05),
+                  mixed_norm_sup(f, 3.0, w_std_m05), mixed_norm_sup(f, math.inf, w_std_m05),
+                  lambda_norm(f, 3.0, 0.5, 0.0, w_std_m05)):
+        assert value.verdict == "undetermined" and value.diagnostics["capped"] is True
+        assert math.isnan(float(value))
 
 
 def test_mixed_norm_p2_coefficient_sum(w_linear, small_corpus):

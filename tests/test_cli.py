@@ -195,6 +195,21 @@ def test_norms_rejects_non_finite_exponents(capsys, option):
     assert time.monotonic() - t0 < 5.0
 
 
+def test_norms_capped_circle_mean_is_an_error(capsys, monkeypatch, tmp_path):
+    # with the node cap at 2^9 every circle mean of a degree-300 series caps,
+    # the hardy_p line's too: one error line naming the cap and no output
+    import bergman.analytic as analytic
+    monkeypatch.setattr(analytic, "_N_CAP_LOG2", 9)
+    out = tmp_path / "norms.txt"
+    code = main(["norms", "--f", "rand(deg=300,seed=1,dist=sym)", "--weight",
+                 "std(alpha=-0.5)", "--p", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "node cap" in lines[0]
+    assert "hardy_p3" in lines[0]
+
+
 _DECOMPOSE = ["decompose", "--weight", "const(c=1)", "--alpha", "1", "--max-degree", "64"]
 
 
