@@ -15,7 +15,9 @@ hs                Hilbert-Schmidt partial sums as CSV (to --out if given),
 lacunary          gap test and coefficient-moment sum for a gap series
 verify            run a named verification scenario, write its report
 norms             norm battery for one function against one weight; a
-                  norm whose circle means hit the node cap is an error
+                  norm whose circle means hit the node cap is an error;
+                  --p inf prints the mixed, sup and M_inf lines and names
+                  the Bergman line "undefined (A^p_omega needs finite p)"
 
 Weight specs:   const(c=1) | std(alpha=A) | pow(beta=B) | logpow(beta=B)
                 | logprod(alpha=A[,n=N]) | osc() | table(path=FILE)
@@ -38,8 +40,8 @@ import sys
 
 from . import decomposition as dec
 from . import operators as ops
-from .analytic import (bergman_norm, hardy_means_u, mixed_norm, mixed_norm_sup,
-                       parse_function_spec)
+from .analytic import (bergman_norm, hardy_means_u, m_infinity_u, mixed_norm,
+                       mixed_norm_sup, parse_function_spec)
 from .errors import DomainError, QuadratureDivergence
 from .results import finite
 from .verify import run_scenario, write_report
@@ -173,17 +175,20 @@ def _cmd_verify(args):
 def _cmd_norms(args):
     w = parse_weight(args.weight).normalized()
     f = parse_function_spec(args.f)
-    rows = [("bergman_p%g" % args.p, bergman_norm(f, args.p, w)),
+    # A^p_omega has no p = inf member: that line names the gap (None)
+    p_inf = args.p == math.inf
+    rows = [("bergman_p%g" % args.p, None if p_inf else bergman_norm(f, args.p, w)),
             ("mixed_p%g_q%g_gamma%g" % (args.p, args.q, args.gamma),
              mixed_norm(f, args.p, args.q, w, gamma=args.gamma)),
             ("mixed_sup_p%g" % args.p, mixed_norm_sup(f, args.p, w))]
-    hardy, diag = hardy_means_u(f, args.p, [0.0])
-    rows.append(("hardy_p%g" % args.p, finite(hardy[0], capped=diag["capped"])))
-    capped = [name for name, v in rows if v.diagnostics.get("capped")]
+    hardy, diag = m_infinity_u(f, [0.0]) if p_inf else hardy_means_u(f, args.p, [0.0])
+    rows.append(("hardy_p%g" % args.p, finite(hardy[0], capped=diag.get("capped", False))))
+    capped = [name for name, v in rows if v is not None and v.diagnostics.get("capped")]
     if capped:
         raise DomainError("the circle means behind %s hit the 2^18 node cap: "
                           "undetermined" % ", ".join(capped))
-    _emit(["%s: " % name + _F % float(v) for name, v in rows], args.out)
+    _emit(["%s: " % name + ("undefined (A^p_omega needs finite p)" if v is None
+                            else _F % float(v)) for name, v in rows], args.out)
     return 0
 
 

@@ -11,6 +11,11 @@ the classical Hilbert operator c_k = sum_n a_n / (n+k+1).  The moments and
 the Hilbert-Schmidt sums are products with the Hankel matrices 1/(n+k+1)
 and 1/(n+k+1)^2, run by FFT when large (``_hankel``).  Profiles on the
 radius are callables of u = 1 - t, which stays exact where t rounds to 1.
+The A^2_omega norm of H(phi) for a profile phi (``hilbert_norm2_profile``)
+is a quadratic form with the closed Bergman kernel, which keeps every
+coefficient of H(phi); a batch of spans of phi reads one kernel table on
+the union of their nodes, so the dyadic sweep r = 1 - 2^-j of the extremal
+profiles evaluates the kernel once.
 
 Well-definedness of H_g on the source space A^p_omega is governed by the
 integrability of tail(r)^(-1/(p-1)) (checked once per OperatorSetting);
@@ -290,20 +295,39 @@ def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0):
     coefficient series of H(phi) enters even when phi concentrates at
     machine-scale distance from 1 (where any k_max truncation would lose
     the mass).  Geometric panels in 1 - t on both axes.
+
+    Scalar ``t_min`` and ``t_max`` give a float; arrays, broadcast
+    together, give one norm per span [t_min, t_max).  All spans read one
+    kernel table: K is evaluated once on the union of their nodes (upper
+    triangle, one panel of rows at a time, mirrored) and each span is a
+    quadratic form on it, with phi evaluated once on the union.  Spans at
+    t_min = 1 - 2^-j share dyadic levels, so a sweep over j costs about its
+    widest span.  Spans that share no dyadic levels get no sharing, and the
+    table still covers their cross pairs: pass those in separate calls.
     """
     kernel = _bergman2_kernel(w)
-    nodes, halves = gauss_panels(1.0 - t_min, np.arange(_PROFILE_LEVELS),
-                                 1.0 - t_max)
-    if not len(halves):
-        return 0.0
-    u = nodes.ravel()
-    c = (halves[:, None] * _GAUSS_WEIGHTS).ravel() * np.asarray(phi(u), dtype=float)
-    # 1 - ts for t = 1-u, s = 1-v: u + v - uv, exact even when ts rounds to 1;
-    # the form is symmetric, so each pair of nodes is evaluated once
-    i, j = np.triu_indices(len(u), 1)
-    val = float(c ** 2 @ kernel(u + u - u * u)
-                + 2.0 * (c[i] * c[j]) @ kernel(u[i] + u[j] - u[i] * u[j]))
-    return math.sqrt(max(val, 0.0))
+    t_min, t_max = np.broadcast_arrays(np.asarray(t_min, dtype=float),
+                                       np.asarray(t_max, dtype=float))
+    spans = [gauss_panels(1.0 - lo, np.arange(_PROFILE_LEVELS), 1.0 - hi)
+             for lo, hi in zip(t_min.ravel(), t_max.ravel())]
+    nodes = [n.ravel() for n, _ in spans]
+    u, col = np.unique(np.concatenate([np.empty(0), *nodes]), return_inverse=True)
+    # row k: span k's quadrature weights on the union's nodes, times phi
+    c = np.zeros((len(spans), len(u)))
+    c[np.repeat(np.arange(len(spans)), [len(n) for n in nodes]), col] = np.concatenate(
+        [np.empty(0), *[(h[:, None] * _GAUSS_WEIGHTS).ravel() for _, h in spans]])
+    c *= np.asarray(phi(u), dtype=float)
+    table = np.empty((len(u), len(u)))
+    step = len(_GAUSS_WEIGHTS)
+    for a in range(0, len(u), step):
+        # 1 - ts for t = 1-u, s = 1-v: u + v - uv, exact even when ts rounds
+        # to 1 and symmetric in u, v, so the mirror is exact
+        ub = u[a:a + step, None]
+        block = kernel(ub + u[a:] - ub * u[a:])
+        table[a:a + step, a:] = block
+        table[a:, a:a + step] = block.T
+    norms = np.sqrt(np.maximum(np.einsum("kn,nm,km->k", c, table, c), 0.0))
+    return float(norms[0]) if t_min.ndim == 0 else norms.reshape(t_min.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ users evaluate the integrand once on the flattened nodes and reduce per
 panel: :func:`integrate_geometric_vec`, ``weighted_radial_integral``
 (chunks of 8 levels, on the ``analytic.circle_profile`` rows of
 ``bergman_norm``, ``mixed_norm`` and the TH-DEC, COR-HILB and INEQ-MINFTY
-scenarios), ``hilbert_norm2_profile`` (all levels) and
-``muckenhoupt`` (panels between grid points, then one cumulative sum per
-factor).  The scalar :func:`integrate_geometric` keeps its own loop: it
+scenarios), ``hilbert_norm2_profile`` (60 levels per span, one kernel
+table on the union of a batch of spans' nodes) and ``muckenhoupt``
+(panels between grid points, then one cumulative sum per factor).  The scalar :func:`integrate_geometric` keeps its own loop: it
 decides divergence, extrapolation and adaptive bisection panel by panel
 with a 1-D sum per panel, which batching would change.  So does
 ``weights._integrate_endpoint``, whose adaptive panels grow geometrically

@@ -380,12 +380,16 @@ def _th_gorro(cfg, rep, window):
     rep.diagnostics["muckenhoupt"] = mp.verdict
     escape = cfg["escape"] if cfg["escape"] is not None else mp.divergent
 
+    # every node of the span [r, 1) has t >= r, where phi_r = phi_0, so one
+    # shared-kernel call gives every p = 2 numerator
+    phi_0 = ops.phi_r_profile(w, 0.0, p)[0]
     if not escape:
-        for j in range(cfg["j_max"] + 1):
-            r = 1.0 - 2.0 ** -j
+        rs = [1.0 - 2.0 ** -j for j in range(cfg["j_max"] + 1)]
+        nums = ops.hilbert_norm2_profile(phi_0, w, t_min=rs) if p == 2 else None
+        for j, r in enumerate(rs):
             phi, edge = ops.phi_r_profile(w, r, p)
             den = float(ops.lp_hat_norm(phi, p, w, t_min=edge))
-            num = ops.hilbert_norm2_profile(phi, w, t_min=edge) if p == 2 \
+            num = float(nums[j]) if p == 2 \
                 else _hilbert_norm_general(phi, edge, p, w)
             rep.cases.append(_case("phi-j%02d" % j,
                                    {"j": j, "family": "phi_r"}, num, den))
@@ -402,15 +406,16 @@ def _th_gorro(cfg, rep, window):
     # The profiles are truncated at the Carleson-square depth (1-r)^2 to
     # keep both norms finite; growth of the ratio along j is the evidence.
     ratios = {}
-    for j in range(1, cfg["j_max"] + 1):        # j = 0 has an empty square
-        r = 1.0 - 2.0 ** -j
-        t_top = 1.0 - (1.0 - r) ** 2
+    js = range(1, cfg["j_max"] + 1)             # j = 0 has an empty square
+    rs = [1.0 - 2.0 ** -j for j in js]
+    nums = ops.hilbert_norm2_profile(phi_0, w, t_min=rs,
+                                     t_max=[1.0 - (1.0 - r) ** 2 for r in rs])
+    for j, r, num in zip(js, rs, nums.tolist()):
         phi, edge = ops.phi_r_profile(w, r, p)
         den_sq = integrate_geometric(
             lambda u: np.asarray(phi(u)) ** p * np.asarray(w.tail_u(u)),
             (1.0 - r) ** 2, 1.0 - r)
         den = den_sq ** (1.0 / p)
-        num = ops.hilbert_norm2_profile(phi, w, t_min=edge, t_max=t_top)
         ratios[j] = num / den
         rep.cases.append(_case("phi-j%02d" % j, {"j": j, "family": "phi_r"},
                                num, den))

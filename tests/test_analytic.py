@@ -329,6 +329,66 @@ def test_hardy_means_cap_edges(top, capped):
         assert np.array_equal(vals[k], want)
 
 
+def _even_p_means(c, k, us):
+    """M_2k(1 - u, f) of f = sum c_n z^n, independent of the FFT path.
+
+    |f|^2k = |f^k|^2, so M_2k^2k = sum_n |(f^k)_n|^2 r^(2n) (Parseval),
+    summed by math.fsum.  f^k comes from np.convolve, or from products of
+    the nonzero terms when f is a gap series.
+    """
+    nz = np.nonzero(c)[0]
+    if len(nz) < len(c) // 2:
+        power = {0: 1.0}
+        for _ in range(k):
+            nxt = {}
+            for e, a in power.items():
+                for m in nz:
+                    nxt[e + m] = nxt.get(e + m, 0.0) + a * c[m]
+            power = nxt
+        exps, coefs = np.array(list(power)), np.array(list(power.values()))
+    else:
+        coefs = c
+        for _ in range(k - 1):
+            coefs = np.convolve(coefs, c)
+        exps = np.arange(len(coefs))
+    mags = np.abs(coefs) ** 2
+    return np.array([math.fsum(mags * (np.exp(2.0 * exps * math.log1p(-u)) if u < 1.0
+                                       else exps == 0)) ** (0.5 / k) for u in us])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hardy_means_even_p_against_powers(seed):
+    # p = 4 and 6 take the FFT doubling loop; the oracle sums |f^2|^2 and
+    # |f^3|^2 coefficient by coefficient
+    rng = np.random.default_rng(seed)
+    us = np.array([1.0, 0.5, 0.1, 1e-3, 1e-8, 0.0])
+    for deg in (0, *rng.integers(1, 65, size=4)):
+        c = rng.standard_normal(deg + 1)
+        if deg % 2:
+            c = c + 1j * rng.standard_normal(deg + 1)
+        vals, diag = hardy_means_u(AnalyticFunction(c), [4.0, 6.0], us)
+        for k, mine in zip((2, 3), diag["per_p"]):
+            assert not mine["capped"]
+            assert np.allclose(vals[k - 2], _even_p_means(c, k, us), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("top, capped", [(2 ** 16 - 1, False), (2 ** 16, True),
+                                         (_CAP // 2 - 1, True), (_CAP // 2, True)])
+def test_hardy_means_even_p_cap_edges(top, capped):
+    # least node count 2 (top + 1) = 2^17 is compared at the cap with its
+    # 2^17 even nodes; 2^17 + 2 and the two counts around 2^18 start at the
+    # cap and cap.  No two sums of k <= 3 exponents differ by a multiple of
+    # 2^18, so the trapezoid rule stays exact at the cap too
+    c = np.zeros(top + 1)
+    exps = [1, 9, 1000, 40000, top]
+    c[exps] = np.random.default_rng(top).standard_normal(len(exps))
+    us = np.array([0.3, 1e-3, 1e-6, 0.0])
+    vals, diag = hardy_means_u(AnalyticFunction(c), [4.0, 6.0], us)
+    for k, mine in zip((2, 3), diag["per_p"]):
+        assert mine["nodes"] == _CAP and mine["capped"] is capped
+        assert np.allclose(vals[k - 2], _even_p_means(c, k, us), rtol=1e-9, atol=0.0)
+
+
 def test_block_hardy_norms_cap_edges():
     # dyadic blocks [2^n, 2^(n+1)): block 16 holds 1 + z^40000 (shifted),
     # which needs 2^17 nodes first and is compared at the cap, where only

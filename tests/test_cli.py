@@ -179,12 +179,13 @@ def test_norms_battery(capsys):
     assert "bergman" in out or "norm" in out
 
 
-@pytest.mark.parametrize("option", [("--p", "nan"), ("--p", "inf"),
+@pytest.mark.parametrize("option", [("--p", "nan"), ("--p=-inf",),
                                     ("--q", "nan"), ("--q", "inf"),
                                     ("--gamma", "nan")])
 def test_norms_rejects_non_finite_exponents(capsys, option):
     # a NaN p once sampled up to the node cap at every radius, and an
-    # infinite p or q printed 1.0; each must be one error line, fast
+    # infinite q printed 1.0; each must be one error line, fast (p = +inf
+    # is a valid query, see test_norms_p_infinity)
     t0 = time.monotonic()
     code = main(["norms", "--f", "poly(1,2,3)", "--weight", "std(alpha=0.5)",
                  *option])
@@ -208,6 +209,36 @@ def test_norms_capped_circle_mean_is_an_error(capsys, monkeypatch, tmp_path):
     assert code == 1 and captured.out == "" and not out.exists()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "node cap" in lines[0]
     assert "hardy_p3" in lines[0]
+
+
+def test_norms_p_infinity(capsys):
+    # A^p_omega needs finite p, so its line is named undefined; the mixed,
+    # sup and M_inf lines are defined.  Nonnegative coefficients peak at
+    # theta = 0: M_inf(1, f) = f(1) = 3.5, and the sup grid reaches
+    # u = 2^-40, where f(1 - u) = 3.5 - 3u + u^2/2
+    code, out = run(capsys, "norms", "--f", "poly(1,2,0.5)",
+                    "--weight", "std(alpha=-0.5)", "--p", "inf")
+    assert code == 0
+    names = [line.split(": ")[0] for line in out.splitlines()]
+    assert names == ["bergman_pinf", "mixed_pinf_q2_gamma0", "mixed_sup_pinf",
+                     "hardy_pinf"]
+    vals = dict(line.split(": ") for line in out.splitlines())
+    assert vals["bergman_pinf"] == "undefined (A^p_omega needs finite p)"
+    assert float(vals["hardy_pinf"]) == 3.5
+    assert float(vals["mixed_sup_pinf"]) == pytest.approx(3.5, rel=1e-11)
+    assert 0.0 < float(vals["mixed_pinf_q2_gamma0"]) < 3.5
+
+
+def test_norms_p_infinity_capped_is_an_error(capsys, monkeypatch):
+    # a first N at the 2^9 cap has no comparison, so every M_inf caps
+    import bergman.analytic as analytic
+    monkeypatch.setattr(analytic, "_N_CAP_LOG2", 9)
+    code = main(["norms", "--f", "rand(deg=300,seed=1,dist=sym)", "--weight",
+                 "std(alpha=-0.5)", "--p", "inf"])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 1 and captured.out == ""
+    assert len(lines) == 1 and "node cap" in lines[0] and "hardy_pinf" in lines[0]
 
 
 _DECOMPOSE = ["decompose", "--weight", "const(c=1)", "--alpha", "1", "--max-degree", "64"]

@@ -1,6 +1,7 @@
 """Hilbert-type operators: moments, matrix action, Hilbert-Schmidt sums."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from bergman.operators import (OperatorSetting, _bergman2_kernel,
 from bergman.operators import test_function_Q as q_test_function
 from bergman.operators import test_function_fN as fn_test_function
 from bergman.decomposition import partition
+from bergman.quadrature import _WEIGHTS as _GAUSS_WEIGHTS, gauss_panels
 
 coeff_lists = st.lists(st.floats(min_value=-2.0, max_value=2.0)
                        .map(lambda x: round(x, 3)),
@@ -178,6 +180,78 @@ def test_hilbert_norm2_profile_flat_weight_zeta3(w_const):
     mpmath = pytest.importorskip("mpmath")
     val = hilbert_norm2_profile(lambda u: np.ones_like(u), w_const)
     assert val == pytest.approx(float(mpmath.sqrt(mpmath.zeta(3))), rel=1e-12)
+
+
+def _pairwise_norm(phi, w, t_min, t_max=1.0):
+    """One span's ||H(phi)|| as a sum over node pairs i <= j (triu_indices)."""
+    kernel = _bergman2_kernel(w)
+    nodes, halves = gauss_panels(1.0 - t_min, np.arange(60), 1.0 - t_max)
+    u = nodes.ravel()
+    c = (halves[:, None] * _GAUSS_WEIGHTS).ravel() * phi(u)
+    i, j = np.triu_indices(len(u), 1)
+    val = c ** 2 @ kernel(u + u - u * u) \
+        + 2.0 * (c[i] * c[j]) @ kernel(u[i] + u[j] - u[i] * u[j])
+    return math.sqrt(val)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.0, 0.0], ids=["std-0.5", "std1", "const"])
+def test_hilbert_norm2_profile_spans_share_one_table(alpha, w_std_m05, w_std_1, w_const):
+    # TH-GORRO's spans [r_j, 1), r_j = 1 - 2^-j, and its escape spans
+    # [r_j, 1 - (1 - r_j)^2) in one call; phi_0 = phi_r on every node of
+    # span j, and each norm is the pairwise form of its own span
+    w = {-0.5: w_std_m05, 1.0: w_std_1, 0.0: w_const}[alpha]
+    rs = [1.0 - 2.0 ** -j for j in range(13)]
+    tops = [1.0 - (1.0 - r) ** 2 for r in rs[1:]]
+    phi_0 = phi_r_profile(w, 0.0, 2.0)[0]
+    got = hilbert_norm2_profile(phi_0, w, t_min=rs + rs[1:], t_max=[1.0] * 13 + tops)
+    assert got.shape == (25,)
+    for k, j in [(0, 0), (12, 12), (13, 1), (19, 7), (24, 12)]:
+        r = rs[j]
+        want = _pairwise_norm(phi_r_profile(w, r, 2.0)[0], w, r,
+                              1.0 if k < 13 else tops[j - 1])
+        assert got[k] == pytest.approx(want, rel=4e-15, abs=0.0), (k, j)
+
+
+def test_hilbert_norm2_profile_shapes_and_empty_spans(w_const):
+    phi = lambda u: np.ones_like(u)
+    one = hilbert_norm2_profile(phi, w_const, t_min=0.5)
+    assert type(one) is float and one > 0.0
+    assert hilbert_norm2_profile(phi, w_const, t_min=0.5, t_max=0.5) == 0.0
+    assert hilbert_norm2_profile(phi, w_const, t_min=0.7, t_max=0.5) == 0.0
+    grid = hilbert_norm2_profile(phi, w_const, t_min=[[0.5], [0.75], [0.9]],
+                                 t_max=[0.75, 1.0])
+    assert grid.shape == (3, 2)
+    assert grid[0, 1] == pytest.approx(one, rel=1e-15)
+    assert grid[1, 0] == grid[2, 0] == 0.0 and 0.0 < grid[0, 0] < grid[0, 1]
+    assert hilbert_norm2_profile(phi, w_const, t_min=np.array([])).shape == (0,)
+
+
+def test_hilbert_norm2_profile_flat_weight_polylog(w_const):
+    # phi = 1 on [r, 1): H(phi) has coefficients (1 - r^(k+1))/(k+1) and
+    # 2 omega_k = 1/(k+1), so ||H(phi)||^2 = zeta(3) - 2 Li_3(r) + Li_3(r^2)
+    mpmath = pytest.importorskip("mpmath")
+    rs = [1.0 - 2.0 ** -j for j in range(8)]
+    got = hilbert_norm2_profile(lambda u: np.ones_like(u), w_const, t_min=rs)
+    with mpmath.workdps(40):
+        for j, r in enumerate(rs):
+            r = mpmath.mpf(r)
+            want = mpmath.zeta(3) - 2 * mpmath.polylog(3, r) + mpmath.polylog(3, r * r)
+            assert got[j] ** 2 == pytest.approx(float(want), rel=1e-13), j
+
+
+def test_hilbert_norm2_profile_memory(w_std_m05):
+    # TH-GORRO's 13 default spans hold one kernel table of their 1152 union
+    # nodes (10.6 MB); pair arrays of a single span once took 31.7 MB
+    rs = [1.0 - 2.0 ** -j for j in range(13)]
+    phi = phi_r_profile(w_std_m05, 0.0, 2.0)[0]
+    hilbert_norm2_profile(phi, w_std_m05, t_min=rs[:1])
+    tracemalloc.start()
+    try:
+        hilbert_norm2_profile(phi, w_std_m05, t_min=rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_phi_r_profile_finite_below_machine_epsilon(w_std_m05):
