@@ -338,7 +338,7 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
     coeffs = f.coefficients
     us = np.asarray(us, dtype=float)
     means = np.empty((len(ps), len(us)))
-    per_p = [{"method": "parseval"} for _ in ps]
+    per_p = [{"method": "parseval", "capped": False} for _ in ps]
     if 2.0 in ps:
         mags = np.abs(coeffs) ** 2
         nz = np.nonzero(mags)[0]
@@ -353,7 +353,7 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
             per_p[k] = dk[0]
     # the p that sampled most (the last of them on ties) speaks for the call
     last = max(reversed(per_p), key=lambda dk: dk.get("nodes", 0))
-    diag = dict(last, capped=any(dk.get("capped") for dk in per_p), per_p=per_p)
+    diag = dict(last, capped=any(dk["capped"] for dk in per_p), per_p=per_p)
     return (means[0] if scalar else means), diag
 
 
@@ -367,9 +367,10 @@ def hardy_mean(f, p, r, rel_tol=1e-9):
 def m_infinity_u(f, us, rel_tol=1e-6):
     """Grid maxima of |f| on circles (certified lower bounds of M_inf).
 
-    A nonnegative real series peaks at theta = 0, exactly f(r).  Otherwise
-    the maxima take the ``_doubling_means`` schedule with every radius in
-    one stop group and least max(4d + 4, 2^9) nodes.  ``diag``: the
+    A nonnegative real series peaks at theta = 0, exactly f(r), and samples
+    nothing (``capped`` false).  Otherwise the maxima take the
+    ``_doubling_means`` schedule with every radius in one stop group and
+    least max(4d + 4, 2^9) nodes.  ``diag``: the
     ``nodes``, the last comparison's ``resolution``, and ``capped`` if that
     comparison failed at 2^18, or a first N at 2^18 had none.
     """
@@ -378,7 +379,8 @@ def m_infinity_u(f, us, rel_tol=1e-6):
     if np.all(coeffs.imag == 0) and np.all(coeffs.real >= 0):
         # triangle equality: the maximum sits at theta = 0 and equals f(r)
         nz = np.nonzero(coeffs.real)[0]
-        return _power_matrix(us, nz) @ coeffs.real[nz], {"method": "nonneg-exact"}
+        return _power_matrix(us, nz) @ coeffs.real[nz], {"method": "nonneg-exact",
+                                                          "capped": False}
     (vals,), [[diag]] = _doubling_means(_scaled_coefficients(coeffs, us), [0] * len(us),
                                         [max(4 * len(coeffs), 2 ** 9)], [math.inf], rel_tol)
     diag["resolution"] = diag.pop("last_increment")
@@ -406,7 +408,7 @@ def circle_profile(f, cols, rel_tol=None):
             profile.capped |= diag["capped"]
         if any(p == math.inf for p, _ in cols):
             means[math.inf], diag = m_infinity_u(f, u, **tol)
-            profile.capped |= diag.get("capped", False)     # the shortcut samples nothing
+            profile.capped |= diag["capped"]
         return np.array([means[p] ** q for p, q in cols])
 
     profile.capped = False

@@ -182,7 +182,7 @@ def _cmd_norms(args):
              mixed_norm(f, args.p, args.q, w, gamma=args.gamma)),
             ("mixed_sup_p%g" % args.p, mixed_norm_sup(f, args.p, w))]
     hardy, diag = m_infinity_u(f, [0.0]) if p_inf else hardy_means_u(f, args.p, [0.0])
-    rows.append(("hardy_p%g" % args.p, finite(hardy[0], capped=diag.get("capped", False))))
+    rows.append(("hardy_p%g" % args.p, finite(hardy[0], capped=diag["capped"])))
     capped = [name for name, v in rows if v is not None and v.diagnostics.get("capped")]
     if capped:
         raise DomainError("the circle means behind %s hit the 2^18 node cap: "

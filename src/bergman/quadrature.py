@@ -24,16 +24,19 @@ divergence together with the implied local exponent.
 :func:`gauss_panels` is the one panel table: nodes and half-widths of a
 batch of dyadic levels or of the panels between descending edges.  Its
 users evaluate the integrand once on the flattened nodes and reduce per
-panel: :func:`integrate_geometric_vec`, ``weighted_radial_integral``
+panel: :func:`integrate_geometric` (chunks of ``_LEVELS_PER_CHUNK``
+levels; ``np.ldexp`` edges equal ``u_hi * 0.5**k`` and a row of 16 terms
+sums in the pairwise order of a 1-D sum, so its values are those of a
+per-panel loop), :func:`integrate_geometric_vec`, ``weighted_radial_integral``
 (chunks of 8 levels, on the ``analytic.circle_profile`` rows of
 ``bergman_norm``, ``mixed_norm`` and the TH-DEC, COR-HILB and INEQ-MINFTY
 scenarios), ``hilbert_norm2_profile`` (60 levels per span, one kernel
 table on the union of a batch of spans' nodes) and ``muckenhoupt``
-(panels between grid points, then one cumulative sum per factor).  The scalar :func:`integrate_geometric` keeps its own loop: it
-decides divergence, extrapolation and adaptive bisection panel by panel
-with a 1-D sum per panel, which batching would change.  So does
-``weights._integrate_endpoint``, whose adaptive panels grow geometrically
-in t = 1 - log(u/u0).
+(panels between grid points, then one cumulative sum per factor).
+:func:`adaptive_panel` bisects one panel at a time; it serves the
+``adaptive`` panels of :func:`integrate_geometric` and
+``weights._integrate_endpoint``, whose panels grow geometrically in
+t = 1 - log(u/u0).
 """
 
 import math
@@ -50,6 +53,9 @@ _MIN_LEVELS_BEFORE_EXTRAPOLATION = 24
 
 #: stopping tolerance and level caps of the scalar / vector geometric loops
 _REL_TOL, _MAX_LEVELS, _VEC_MAX_LEVELS = 1e-12, 400, 200
+
+#: dyadic levels per integrand call in integrate_geometric
+_LEVELS_PER_CHUNK = 32
 
 #: agreement with the bisected estimate, and depth cap, in adaptive_panel
 _PANEL_TOL, _MAX_DEPTH = 1e-13, 30
@@ -118,27 +124,25 @@ def adaptive_panel(f, a, b):
 def integrate_geometric(f, u_lo, u_hi, adaptive=False):
     """Integrate f(u) du over (u_lo, u_hi] with geometric panels toward 0.
 
-    ``u_lo = 0`` makes the integral improper; convergence is then decided
-    from the decay of the panel contributions as described in the module
-    docstring.  Raises :class:`QuadratureDivergence` when the contributions
-    fail to decay.
+    Panel j spans [u_hi 2^-(j+1), u_hi 2^-j], the last one clipped at
+    ``u_lo``.  ``f`` is called once per chunk of ``_LEVELS_PER_CHUNK``
+    levels on the flattened nodes (``adaptive`` bisects each panel on its
+    own, for the `osc` densities); the stop, extrapolation and divergence
+    decisions of the module docstring are then taken level by level.  So
+    the value is that of a loop calling ``f`` per panel, bit for bit, and
+    ``f`` sees at most one chunk past the last level used.  Raises
+    :class:`QuadratureDivergence` when the contributions fail to decay.
     """
     if u_hi <= u_lo:
         return 0.0
-    panel = adaptive_panel if adaptive else gauss_panel
 
     total = 0.0
-    hi = u_hi
     contribs = []
-    for level in range(_MAX_LEVELS):
-        lo = u_hi * 0.5 ** (level + 1)
-        if lo <= u_lo:
-            total += panel(f, max(u_lo, lo), hi)
-            return total
-        c = panel(f, lo, hi)
+    for level, c in _panel_contributions(f, u_lo, u_hi, adaptive):
         total += c
+        if u_hi * 0.5 ** (level + 1) <= u_lo:
+            return total                        # the last panel, clipped at u_lo
         contribs.append(c)
-        hi = lo
 
         if len(contribs) >= 2 and abs(total) > 0:
             if abs(contribs[-1]) < _REL_TOL * abs(total) and abs(contribs[-2]) < _REL_TOL * abs(total):
@@ -169,6 +173,27 @@ def integrate_geometric(f, u_lo, u_hi, adaptive=False):
     raise QuadratureDivergence("no convergence after %d geometric levels" % _MAX_LEVELS)
 
 
+def _panel_contributions(f, u_lo, u_hi, adaptive):
+    """(level, contribution) of each dyadic panel below u_hi, the last one
+    clipped at u_lo.
+
+    Fixed panels take one call of ``f`` per chunk of levels, and each row
+    of 16 terms the 1-D pairwise sum that ``gauss_panel`` takes; adaptive
+    panels are bisected one at a time, as the caller asks for them.
+    """
+    for chunk in range(0, _MAX_LEVELS, _LEVELS_PER_CHUNK):
+        levels = np.arange(chunk, min(chunk + _LEVELS_PER_CHUNK, _MAX_LEVELS))
+        if adaptive:
+            his = np.ldexp(float(u_hi), -levels).tolist()
+            los = np.maximum(np.ldexp(float(u_hi), -(levels + 1)), u_lo).tolist()
+            sums = (adaptive_panel(f, lo, hi) for lo, hi in zip(los, his))
+        else:
+            nodes, halves = gauss_panels(u_hi, levels, u_lo)
+            vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+            sums = (halves * np.sum(_WEIGHTS * vals, axis=1)).tolist()
+        yield from zip(levels.tolist(), sums)
+
+
 def _stable_ratio(contribs, window=4, agree=1e-8):
     """Common ratio of the last few panel contributions, if they agree."""
     if len(contribs) < window + 1:
@@ -191,8 +216,9 @@ def integrate_geometric_vec(f, u_hi):
     ``f(u_nodes)`` must return an array of shape ``(len(u_nodes), dim)``.
     Convergence is judged on the max-norm of the panel contribution, so all
     components stop together (they share the quadrature nodes).  No
-    divergence detection: callers use it for manifestly convergent moment
-    integrals.
+    ratio-based divergence detection: callers use it for manifestly
+    convergent moment integrals.  Raises :class:`QuadratureDivergence` when
+    the contributions are still not negligible at the level cap.
     """
     total = None
     prev_small = False
@@ -205,7 +231,7 @@ def integrate_geometric_vec(f, u_hi):
         if small and prev_small:
             return total
         prev_small = small
-    return total
+    raise QuadratureDivergence("no convergence after %d geometric levels" % _VEC_MAX_LEVELS)
 
 
 def geometric_u_grid(j_max, per_level):

@@ -683,11 +683,9 @@ def _fit_exponents(us, tails):
 
 def tail_exponent(w):
     """Local power exponent of what near r = 1 on deep dyadic levels."""
-    slopes = []
-    for j in _TAIL_LEVELS:
-        t1 = float(w.tail_u(2.0 ** -j))
-        t2 = float(w.tail_u(2.0 ** -(j + 1)))
-        slopes.append(math.log(t1 / t2) / math.log(2.0))
+    levels = np.arange(_TAIL_LEVELS[0], _TAIL_LEVELS[-1] + 2)
+    tails = np.asarray(w.tail_u(np.ldexp(1.0, -levels)), dtype=float).tolist()
+    slopes = [math.log(t1 / t2) / math.log(2.0) for t1, t2 in zip(tails[:-1], tails[1:])]
     return float(np.mean(slopes))
 
 

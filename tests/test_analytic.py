@@ -65,7 +65,10 @@ def test_means_monotone_in_p_and_r(coeffs):
 def test_m_infinity_positive_coeffs():
     # nonnegative coefficients peak on the positive axis
     f = AnalyticFunction([1.0, 2.0, 0.5])
-    assert float(m_infinity_u(f, [0.1])[0][0]) == pytest.approx(f(0.9).real, rel=1e-9)
+    vals, diag = m_infinity_u(f, [0.1])
+    assert float(vals[0]) == pytest.approx(f(0.9).real, rel=1e-9)
+    # the shortcut samples nothing, and says so as every sampled path does
+    assert diag == {"method": "nonneg-exact", "capped": False}
 
 
 # sign-changing real coefficients; zeros at moduli 0.783 (pair) and 2.17
@@ -214,8 +217,8 @@ def test_hardy_means_vector_capped_per_p():
     c[0] = c[-1] = 1.0
     _, diag = hardy_means_u(AnalyticFunction(c), [1.5, 2.0, 3.0], np.array([1e-7]))
     assert diag["capped"] is True and diag["nodes"] == 2 ** 18
-    assert [d.get("capped") for d in diag["per_p"]] == [True, None, True]
-    assert diag["per_p"][1] == {"method": "parseval"}
+    assert [d["capped"] for d in diag["per_p"]] == [True, False, True]
+    assert diag["per_p"][1] == {"method": "parseval", "capped": False}
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.0, -1.0,

@@ -1,13 +1,18 @@
 """Geometric-panel quadrature against closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 
+from bergman import quadrature
 from bergman.analytic import weighted_radial_integral
 from bergman.errors import QuadratureDivergence
-from bergman.quadrature import (_WEIGHTS, gauss_panels, geometric_u_grid,
-                                integrate_geometric, integrate_geometric_vec)
-from bergman.weights import logpow_weight, muckenhoupt, pow_weight, std_weight
+from bergman.quadrature import (_WEIGHTS, adaptive_panel, gauss_panel, gauss_panels,
+                                geometric_u_grid, integrate_geometric,
+                                integrate_geometric_vec)
+from bergman.weights import (logpow_weight, muckenhoupt, osc_weight, pow_weight,
+                             std_weight)
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.0, 3.0])
@@ -25,10 +30,111 @@ def test_integrate_geometric_divergence_exponent():
     assert info.value.exponent == pytest.approx(1.5, abs=1e-9)
 
 
+_REL = quadrature._REL_TOL
+_CHUNK = quadrature._LEVELS_PER_CHUNK
+
+
+def _panel_by_panel(f, u_lo, u_hi, adaptive=False):
+    """(value, levels) of the geometric loop with one call of f per panel."""
+    panel = adaptive_panel if adaptive else gauss_panel
+    stable = quadrature._stable_ratio
+    total, hi, contribs = 0.0, u_hi, []
+    for level in range(quadrature._MAX_LEVELS):
+        lo = u_hi * 0.5 ** (level + 1)
+        if lo <= u_lo:
+            return total + panel(f, max(u_lo, lo), hi), level + 1
+        c = panel(f, lo, hi)
+        total += c
+        contribs.append(c)
+        hi = lo
+        small = _REL * abs(total)
+        if len(contribs) >= 2 and abs(total) > 0 and abs(contribs[-1]) < small \
+                and abs(contribs[-2]) < small:
+            ratio = stable(contribs)
+            if ratio is not None and 0 < ratio < 1:
+                total += contribs[-1] * ratio / (1.0 - ratio)
+            return total, level + 1
+        if u_lo <= 0.0 and level >= 24:
+            ratio = stable(contribs)
+            if ratio is not None:
+                if ratio >= 1.0 - 1e-12:
+                    raise QuadratureDivergence("reference", exponent=1.0 + np.log2(ratio))
+                return total + contribs[-1] * ratio / (1.0 - ratio), level + 1
+    ratio = stable(contribs, window=6, agree=1e-3)
+    if ratio is not None and ratio < 1:
+        return total + contribs[-1] * ratio / (1.0 - ratio), quadrature._MAX_LEVELS
+    raise QuadratureDivergence("reference")
+
+
+_REFERENCE_CASES = {
+    **{"u^%g" % s: (lambda u, s=s: u ** s, 0.0, 1.0) for s in (-0.5, 0.0, 0.7, 3.0, 12.0)},
+    "u^0.3 below 0.6": (lambda u: u ** 0.3, 0.0, 0.6),
+    "lo inside chunk 0": (lambda u: u ** -0.5, 1e-3, 1.0),
+    "lo inside chunk 1": (lambda u: u ** -0.5, 2.0 ** -(_CHUNK + 3.5), 1.0),
+    "lo on a chunk edge": (lambda u: u ** 2.0, 2.0 ** -_CHUNK, 1.0),
+    "lo one past an edge": (lambda u: u ** 2.0, 2.0 ** -(2 * _CHUNK + 1), 1.0),
+    "growing to lo": (lambda u: u ** -1.5, 1e-30, 1.0),
+    "zero to lo": (np.zeros_like, 1e-3, 1.0),
+    "log decay to the cap": (lambda u: 1.0 / (u * (1.0 - np.log(u)) ** 2), 0.0, 1.0),
+    "exp tail": (lambda u: np.exp(-1.0 / u) / u ** 2, 0.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_integrate_geometric_matches_panel_loop(case):
+    f, u_lo, u_hi = _REFERENCE_CASES[case]
+    expected, levels = _panel_by_panel(f, u_lo, u_hi)
+    calls = []
+
+    def counted(u):
+        calls.append(len(u))
+        return f(u)
+
+    assert integrate_geometric(counted, u_lo, u_hi) == expected
+    # one integrand call per chunk, at most one chunk past the last level
+    assert len(calls) <= math.ceil(levels / _CHUNK)
+    assert sum(calls) <= 16 * _CHUNK * math.ceil(levels / _CHUNK)
+
+
+def test_integrate_geometric_log_decay_reaches_the_level_cap():
+    f = _REFERENCE_CASES["log decay to the cap"][0]
+    assert _panel_by_panel(f, 0.0, 1.0)[1] == quadrature._MAX_LEVELS
+    # an integral of 1/(u (1 - log u)^2) over (0, 1] equals 1 exactly; the
+    # fallback's geometric closure is only an estimate of the log tail
+    assert integrate_geometric(f, 0.0, 1.0) == pytest.approx(1.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("f", [lambda u: u ** -1.5, np.zeros_like])
+def test_integrate_geometric_raises_as_the_panel_loop(f):
+    with pytest.raises(QuadratureDivergence) as ref:
+        _panel_by_panel(f, 0.0, 1.0)
+    with pytest.raises(QuadratureDivergence) as mine:
+        integrate_geometric(f, 0.0, 1.0)
+    assert mine.value.exponent == ref.value.exponent
+
+
+@pytest.mark.parametrize("u_lo", [0.0, 1e-5])
+def test_integrate_geometric_adaptive_matches_panel_loop(u_lo):
+    # the osc tail oscillates below the panel scale; adaptive panels bisect
+    # one by one, so the chunked loop and the reference agree bit for bit
+    tail = osc_weight().tail_u
+    assert integrate_geometric(tail, u_lo, 1.0, adaptive=True) == \
+        _panel_by_panel(tail, u_lo, 1.0, adaptive=True)[0]
+
+
 def test_integrate_geometric_vec_columns():
     ks = np.arange(6, dtype=float)
     vals = integrate_geometric_vec(lambda u: (1.0 - u)[:, None] ** ks, 1.0)
     np.testing.assert_allclose(vals, 1.0 / (ks + 1.0), rtol=1e-11)
+
+
+def test_integrate_geometric_vec_raises_at_the_level_cap():
+    # 20 exactly; 200 levels leave 2^(-200 * 0.05) of it, far above the
+    # stopping tolerance, where the scalar loop extrapolates the tail
+    f = lambda u: u ** -0.95
+    assert integrate_geometric(f, 0.0, 1.0) == pytest.approx(20.0, rel=1e-14)
+    with pytest.raises(QuadratureDivergence):
+        integrate_geometric_vec(lambda u: f(u)[:, None] * np.ones(2), 1.0)
 
 
 def test_gauss_panels_dyadic_and_edge_forms():

@@ -128,6 +128,21 @@ def test_tail_exponent_standard():
         assert tail_exponent(w) == pytest.approx(alpha + 1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("spec", ["const(c=2)", "std(alpha=-0.5)", "std(alpha=1.5)*3",
+                                  "pow(beta=0.7)", "logpow(beta=2)",
+                                  "logprod(alpha=1.5,n=2)", "osc()"])
+def test_tail_exponent_is_one_tail_call(spec, monkeypatch):
+    # one array call on levels 38-41 gives the slopes of six scalar calls
+    w = parse_weight(spec)
+    slopes = [math.log(float(w.tail_u(2.0 ** -j)) / float(w.tail_u(2.0 ** -(j + 1))))
+              / math.log(2.0) for j in (38, 39, 40)]
+    calls = []
+    tail_u = w.tail_u
+    monkeypatch.setattr(w, "tail_u", lambda u: calls.append(u) or tail_u(u))
+    assert tail_exponent(w) == float(np.mean(slopes))
+    assert len(calls) == 1
+
+
 # --------------------------------------------------------------------------
 # integrability conditions
 
