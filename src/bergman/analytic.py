@@ -48,6 +48,7 @@ __all__ = [
     "hardy_means_u",
     "m_infinity_u",
     "circle_profile",
+    "radial_norms",
     "bergman_norm",
     "mixed_norm",
     "mixed_norm_sup",
@@ -469,14 +470,19 @@ def weighted_radial_integral(gfn, ws, gamma=0.0, include_r=False,
 
     ``ws`` is a weight, or a list of weights with one value returned per
     weight; ``gfn`` then returns one profile shared by all (shape (n,)) or
-    one per weight (shape (len(ws), n)).  Each weight keeps the arithmetic
-    and stopping rules of its own call, so its value is that call's bit for
-    bit; the profile is evaluated per chunk while any weight still runs.
-    ``diag`` has the deepest weight's ``levels``; its ``stop`` is
-    "max-level" if any weight hit the level cap, else the deepest one's rule.
+    one per weight (shape (len(ws), n)), and ``gamma`` and ``include_r``
+    are one value for every weight or a sequence of one per weight.  Each
+    weight keeps the arithmetic and stopping rules of its own call, so its
+    value is that call's bit for bit; the profile is evaluated per chunk
+    while any weight still runs.  ``diag`` has the deepest weight's
+    ``levels``; its ``stop`` is "max-level" if any weight hit the level
+    cap, else the deepest one's rule; ``per_weight`` holds each weight's
+    own ``levels`` and ``stop``.
     """
     single = not isinstance(ws, (list, tuple))
     weights = [ws] if single else list(ws)
+    gammas = np.broadcast_to(gamma, len(weights)).tolist()
+    with_r = np.broadcast_to(include_r, len(weights)).tolist()
     totals = [0.0] * len(weights)
     contribs = [[] for _ in weights]
     stops = [None] * len(weights)          # (value, levels, rule) per weight
@@ -489,12 +495,12 @@ def weighted_radial_integral(gfn, ws, gamma=0.0, include_r=False,
         u_nodes = nodes.ravel()
         g_all = np.asarray(gfn(u_nodes), dtype=float)
         for k in running:
-            w, c = weights[k], contribs[k]
+            w, c, gam = weights[k], contribs[k], gammas[k]
             g_vals = (g_all if g_all.ndim == 1 else g_all[k]).reshape(nodes.shape)
             integ = g_vals * np.asarray(w.density_u(u_nodes), dtype=float).reshape(nodes.shape)
-            if gamma:
-                integ = integ * nodes ** gamma
-            if include_r:
+            if gam:
+                integ = integ * nodes ** gam
+            if with_r[k]:
                 integ = integ * (1.0 - nodes)
             panel_sums = halves * (integ @ _WEIGHTS)
             for idx, j in enumerate(js):
@@ -507,7 +513,7 @@ def weighted_radial_integral(gfn, ws, gamma=0.0, include_r=False,
                         extra = c[-1] * ratio / (1.0 - ratio) if 0 < ratio < 1 else 0.0
                         stops[k] = (total + extra, int(j) + 1, "decay")
                         break
-                if gamma == 0.0 and j >= _FLAT_SHORTCUT_MIN_LEVEL:
+                if gam == 0.0 and j >= _FLAT_SHORTCUT_MIN_LEVEL:
                     row = g_vals[idx]
                     gref = row[-1]
                     if gref > 0 and np.max(np.abs(row - gref)) < 1e-9 * gref:
@@ -518,53 +524,81 @@ def weighted_radial_integral(gfn, ws, gamma=0.0, include_r=False,
     _, levels, rule = max(stops, key=lambda s: s[1])
     if any(s[2] == "max-level" for s in stops):
         rule = "max-level"
-    diag = {"levels": levels, "stop": rule}
+    diag = {"levels": levels, "stop": rule,
+            "per_weight": [{"levels": n, "stop": r} for _, n, r in stops]}
     return (stops[0][0] if single else np.array([s[0] for s in stops])), diag
+
+
+def radial_norms(f, p, w, lines):
+    """Norms of f against one weight w, one per line, from one radial pass.
+
+    A line None is the Bergman norm (2 integral of M_p^p(r,f) omega(r) r dr)^(1/p)
+    and a line (q, gamma) the mixed norm (integral of M_p^q(r,f) (1-r)^gamma
+    omega(r) dr)^(1/q): no factor r and no factor 2, the H(p,q,omega_gamma)
+    convention, deliberately distinct from the area convention.
+
+    At p = 2 a Bergman line is the exact coefficient sum 2 sum |a_k|^2
+    omega_k of the radial moments.  Every other line is one column of one
+    ``circle_profile`` and one ``weighted_radial_integral`` over [w, ...],
+    with its own factor r or (1-r)^gamma and its own stop rule, so each
+    circle is sampled once for all lines and each value is that of a
+    one-line call bit for bit.  A capped circle mean makes these lines
+    ``undetermined``.
+    """
+    area = [line is None for line in lines]
+    if any(area) and not 0 < p < math.inf:
+        raise DomainError("bergman norm requires finite p > 0")
+    for q, gamma in [line for line in lines if line is not None]:
+        if not 0 < q < math.inf:
+            raise DomainError("mixed norm requires finite q > 0")
+        if not gamma >= 0:
+            raise DomainError("mixed norm requires gamma >= 0")
+    norms = [_moment_norm(f, w) if a and p == 2 else None for a in area]
+    quad = [k for k, norm in enumerate(norms) if norm is None]
+    if not quad:
+        return norms
+    qs = [p if area[k] else lines[k][0] for k in quad]
+    profile = circle_profile(f, [(p, q) for q in qs])
+    vals, diag = weighted_radial_integral(
+        profile, [w] * len(quad), gamma=[0.0 if area[k] else lines[k][1] for k in quad],
+        include_r=[area[k] for k in quad])
+    for k, q, val, line_diag in zip(quad, qs, vals, diag["per_weight"]):
+        if area[k]:
+            line_diag["convention"] = "area"
+        if profile.capped:
+            norms[k] = undetermined(method="quadrature", capped=True, **line_diag)
+        else:
+            norms[k] = finite((2.0 * val if area[k] else val) ** (1.0 / q),
+                              method="quadrature", **line_diag)
+    return norms
+
+
+def _moment_norm(f, w):
+    """The p = 2 Bergman norm (2 sum |a_k|^2 omega_k)^(1/2), exact."""
+    c = f.coefficients
+    mags = np.abs(c) ** 2
+    if np.count_nonzero(mags) <= max(64, len(c) // 8):
+        idx = np.nonzero(mags)[0]
+        val = 2.0 * sum(mags[k] * w.moment(int(k)) for k in idx)
+    else:
+        val = 2.0 * float(mags @ w.moments_upto(len(c) - 1))
+    return finite(val ** 0.5, method="closed-form", convention="area")
 
 
 def bergman_norm(f, p, w):
     """Bergman norm: (2 integral of M_p^p(r,f) omega(r) r dr)^(1/p).
 
-    p = 2 with a closed-tail weight reduces to the exact coefficient sum
-    2 sum |a_k|^2 omega_k via the radial moments.  A capped circle mean
-    makes it ``undetermined``, as in ``mixed_norm`` and ``mixed_norm_sup``.
+    The one-line ``radial_norms`` call: exact at p = 2, ``undetermined``
+    on a capped circle mean, as in ``mixed_norm`` and ``mixed_norm_sup``.
     """
-    if not 0 < p < math.inf:
-        raise DomainError("bergman norm requires finite p > 0")
-    if p == 2:
-        c = f.coefficients
-        mags = np.abs(c) ** 2
-        if np.count_nonzero(mags) <= max(64, len(c) // 8):
-            idx = np.nonzero(mags)[0]
-            val = 2.0 * sum(mags[k] * w.moment(int(k)) for k in idx)
-        else:
-            val = 2.0 * float(mags @ w.moments_upto(len(c) - 1))
-        return finite(val ** 0.5, method="closed-form", convention="area")
-
-    profile = circle_profile(f, [(p, p)])
-    val, diag = weighted_radial_integral(profile, w, include_r=True)
-    diag["convention"] = "area"
-    if profile.capped:
-        return undetermined(method="quadrature", capped=True, **diag)
-    return finite((2.0 * val) ** (1.0 / p), method="quadrature", **diag)
+    return radial_norms(f, p, w, [None])[0]
 
 
 def mixed_norm(f, p, q, w, gamma=0.0):
-    """Mixed norm (integral of M_p^q(r,f) (1-r)^gamma omega(r) dr)^(1/q).
-
-    Note: no factor r and no factor 2 -- this is the H(p,q,omega_gamma)
-    convention, deliberately distinct from the area convention of
-    bergman_norm.
+    """Mixed norm (integral of M_p^q(r,f) (1-r)^gamma omega(r) dr)^(1/q),
+    the one-line ``radial_norms`` call (H(p,q,omega_gamma) convention).
     """
-    if not 0 < q < math.inf:
-        raise DomainError("mixed norm requires finite q > 0")
-    if not gamma >= 0:
-        raise DomainError("mixed norm requires gamma >= 0")
-    profile = circle_profile(f, [(p, q)])
-    val, diag = weighted_radial_integral(profile, w, gamma=gamma)
-    if profile.capped:
-        return undetermined(method="quadrature", capped=True, **diag)
-    return finite(val ** (1.0 / q), method="quadrature", **diag)
+    return radial_norms(f, p, w, [(q, gamma)])[0]
 
 
 _SUP_GRID = geometric_u_grid(40, 4)

@@ -14,10 +14,14 @@ hs                Hilbert-Schmidt partial sums as CSV (to --out if given),
                   or "hs_limit: undetermined" (fewer than 8 sums)
 lacunary          gap test and coefficient-moment sum for a gap series
 verify            run a named verification scenario, write its report
-norms             norm battery for one function against one weight; a
-                  norm whose circle means hit the node cap is an error;
-                  --p inf prints the mixed, sup and M_inf lines and names
-                  the Bergman line "undefined (A^p_omega needs finite p)"
+norms             norm battery for one function against one weight: the
+                  Bergman and mixed lines come from one radial integral
+                  that samples each circle once (at p = 2 the Bergman
+                  line is the exact moment sum), then the sup-grid line
+                  and M_p(1, f); a norm whose circle means hit the node
+                  cap is an error; --p inf prints the mixed, sup and
+                  M_inf lines and names the Bergman line
+                  "undefined (A^p_omega needs finite p)"
 
 Weight specs:   const(c=1) | std(alpha=A) | pow(beta=B) | logpow(beta=B)
                 | logprod(alpha=A[,n=N]) | osc() | table(path=FILE)
@@ -40,8 +44,8 @@ import sys
 
 from . import decomposition as dec
 from . import operators as ops
-from .analytic import (bergman_norm, hardy_means_u, m_infinity_u, mixed_norm,
-                       mixed_norm_sup, parse_function_spec)
+from .analytic import (hardy_means_u, m_infinity_u, mixed_norm_sup,
+                       parse_function_spec, radial_norms)
 from .errors import DomainError, QuadratureDivergence
 from .results import finite
 from .verify import run_scenario, write_report
@@ -177,9 +181,13 @@ def _cmd_norms(args):
     f = parse_function_spec(args.f)
     # A^p_omega has no p = inf member: that line names the gap (None)
     p_inf = args.p == math.inf
-    rows = [("bergman_p%g" % args.p, None if p_inf else bergman_norm(f, args.p, w)),
-            ("mixed_p%g_q%g_gamma%g" % (args.p, args.q, args.gamma),
-             mixed_norm(f, args.p, args.q, w, gamma=args.gamma)),
+    mixed_line = (args.q, args.gamma)
+    if p_inf:
+        bergman, mixed = None, *radial_norms(f, args.p, w, [mixed_line])
+    else:
+        bergman, mixed = radial_norms(f, args.p, w, [None, mixed_line])
+    rows = [("bergman_p%g" % args.p, bergman),
+            ("mixed_p%g_q%g_gamma%g" % (args.p, args.q, args.gamma), mixed),
             ("mixed_sup_p%g" % args.p, mixed_norm_sup(f, args.p, w))]
     hardy, diag = m_infinity_u(f, [0.0]) if p_inf else hardy_means_u(f, args.p, [0.0])
     rows.append(("hardy_p%g" % args.p, finite(hardy[0], capped=diag["capped"])))

@@ -409,7 +409,8 @@ def operator_norm_lower(g, setting, part, n_max=6):
 
     Maximizes bergman_norm(H_g f, q) / bergman_norm(f, p) over the kernel
     family f_(M_n) at gamma = p + 2, n <= n_max (regime q >= p) or the
-    Q_rho family on rho in ``_Q_RHOS`` (regime q < p).
+    Q_rho family on rho in ``_Q_RHOS`` (regime q < p).  Only the kernel
+    family reads the partition ``part``, which may be None when q < p.
     """
     setting.require_well_defined()
     if not np.any(g.coefficients[1:]):

@@ -19,7 +19,8 @@ For improper integrals toward u = 0 the panel contributions of a power-law
 integrand form an exact geometric sequence, so the loop stops once the
 contribution ratio stabilizes and closes the remaining tail with the
 geometric sum.  A ratio that refuses to drop below 1 is reported as
-divergence together with the implied local exponent.
+divergence together with the implied local exponent.  An integrand that
+is exactly 0 on every panel up to the level cap integrates to 0.
 
 :func:`gauss_panels` is the one panel table: nodes and half-widths of a
 batch of dyadic levels or of the panels between descending edges.  Its
@@ -29,10 +30,12 @@ levels; ``np.ldexp`` edges equal ``u_hi * 0.5**k`` and a row of 16 terms
 sums in the pairwise order of a 1-D sum, so its values are those of a
 per-panel loop), :func:`integrate_geometric_vec`, ``weighted_radial_integral``
 (chunks of 8 levels, on the ``analytic.circle_profile`` rows of
-``bergman_norm``, ``mixed_norm`` and the TH-DEC, COR-HILB and INEQ-MINFTY
-scenarios), ``hilbert_norm2_profile`` (60 levels per span, one kernel
-table on the union of a batch of spans' nodes) and ``muckenhoupt``
-(panels between grid points, then one cumulative sum per factor).
+``analytic.radial_norms``, which serves ``bergman_norm``, ``mixed_norm``
+and the Bergman and mixed lines of ``bergman norms`` in one call, and of
+the TH-DEC, COR-HILB and INEQ-MINFTY scenarios), ``hilbert_norm2_profile``
+(60 levels per span, one kernel table on the union of a batch of spans'
+nodes) and ``muckenhoupt`` (panels between grid points, then one
+cumulative sum per factor).
 :func:`adaptive_panel` bisects one panel at a time; it serves the
 ``adaptive`` panels of :func:`integrate_geometric` and
 ``weights._integrate_endpoint``, whose panels grow geometrically in
@@ -166,7 +169,11 @@ def integrate_geometric(f, u_lo, u_hi, adaptive=False):
                 total += contribs[-1] * ratio / (1.0 - ratio)
                 return total
 
-    # Ran out of levels: close with a geometric tail if plausible, else give up.
+    # Ran out of levels: an integrand that was exactly 0 on every panel
+    # integrates to 0; otherwise close with a geometric tail if plausible,
+    # else give up.
+    if not any(contribs):
+        return 0.0
     ratio = _stable_ratio(contribs, window=6, agree=1e-3)
     if ratio is not None and ratio < 1:
         return total + contribs[-1] * ratio / (1.0 - ratio)

@@ -512,7 +512,8 @@ def _th_main_qp(cfg, rep, window):
     setting = ops.OperatorSetting(p, q, w)
     s = setting.s
     hw = hat_weight(w)
-    part = dec.partition(w, 1.0, 2 ** 22)
+    # only the q >= p test family reads the partition
+    part = dec.partition(w, 1.0, 2 ** 22) if q >= p else None
     for name in cfg["symbols"]:
         g = _SYMBOLS[name]()
         lhs = ops.operator_norm_lower(g, setting, part)

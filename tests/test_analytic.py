@@ -14,7 +14,8 @@ from bergman.analytic import (AnalyticFunction, _circle_moduli,
                               log_kernel, m_infinity_u, mixed_norm,
                               mixed_norm_sup,
                               modulus_of_continuity, parse_function_spec,
-                              partial_sum, random_function)
+                              partial_sum, radial_norms, random_function,
+                              weighted_radial_integral)
 from bergman.decomposition import block_hardy_norms, partition
 from bergman.errors import DomainError
 from bergman.operators import apply_classical
@@ -539,6 +540,34 @@ def test_bergman_norm_monomial_beta_oracle(alpha, p):
         with mpmath.workdps(30):
             expect = float(mpmath.beta(mpmath.mpf(n) * p / 2 + 1, alpha + 1))
         assert float(bergman_norm(f, p, w)) ** p == pytest.approx(expect, rel=2e-9)
+
+
+@pytest.mark.parametrize("wname", ["w_std_m05", "w_logpow2"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_radial_norms_lines_match_separate_integrals(request, wname, gamma, p):
+    # one profile and one integral for both lines; each line keeps the bits
+    # of its own profile and integral, and of the one-line calls
+    w, q = request.getfixturevalue(wname), 2.5
+    f = AnalyticFunction([1.0, 0.5 - 0.25j, -0.75j, 0.3, 0.0, 0.2 + 0.1j])
+    bergman, mixed = radial_norms(f, p, w, [None, (q, gamma)])
+    area, area_diag = weighted_radial_integral(circle_profile(f, [(p, p)]), w, include_r=True)
+    line, line_diag = weighted_radial_integral(circle_profile(f, [(p, q)]), w, gamma=gamma)
+    assert bergman.value == (2.0 * area) ** (1.0 / p) == bergman_norm(f, p, w).value
+    assert mixed.value == line ** (1.0 / q) == mixed_norm(f, p, q, w, gamma=gamma).value
+    assert bergman.diagnostics == dict(area_diag["per_weight"][0], convention="area")
+    assert mixed.diagnostics == line_diag["per_weight"][0]
+    # the flat rule closes the gamma = 0 lines; a mixed line with gamma > 0 decays
+    assert bergman.diagnostics["stop"] == "flat"
+    assert mixed.diagnostics["stop"] == ("flat" if gamma == 0 else "decay")
+
+
+def test_radial_norms_p2_bergman_line_is_the_moment_sum(w_std_m05):
+    f = AnalyticFunction([1.0, 2.0, -0.5j])
+    bergman, mixed = radial_norms(f, 2.0, w_std_m05, [None, (2.0, 0.0)])
+    assert bergman.method == "closed-form" and mixed.method == "quadrature"
+    assert bergman.value == math.sqrt(2.0 * sum(abs(c) ** 2 * w_std_m05.moment(k)
+                                                for k, c in enumerate(f.coefficients)))
 
 
 @pytest.mark.parametrize("kwargs", [{"q": math.nan}, {"q": math.inf},

@@ -4,13 +4,16 @@ import contextlib
 import csv
 import io
 import json
+import math
 import time
 
 import pytest
 
-from bergman.analytic import AnalyticFunction, hardy_mean
+from bergman.analytic import (AnalyticFunction, bergman_norm, hardy_mean, mixed_norm,
+                              parse_function_spec)
 from bergman import cli
 from bergman.cli import main
+from bergman.weights import parse_weight
 
 
 def run(capsys, *argv):
@@ -173,10 +176,60 @@ def test_verify_rejects_option_the_scenario_ignores(capsys):
 
 
 def test_norms_battery(capsys):
+    # f = 1 + z on the unit-mass weight omega = (1-r^2)^(-1/2) / (pi/2):
+    # hardy^2 = 2; bergman^2 = 2 (omega_0 + omega_1) = 2 (2/pi + 4/(3 pi));
+    # mixed^2 = int omega + int r^2 omega = 1 + 1/2; the sup grid ends at
+    # u = 2^-40, where M_2(r, f)^2 = 1 + r^2
     code, out = run(capsys, "norms", "--f", "poly(1,1)",
                     "--weight", "std(alpha=-0.5)", "--p", "2", "--q", "2")
     assert code == 0
-    assert "bergman" in out or "norm" in out
+    vals = {name: float(v) for name, v in (line.split(": ") for line in out.splitlines())}
+    assert list(vals) == ["bergman_p2", "mixed_p2_q2_gamma0", "mixed_sup_p2", "hardy_p2"]
+    r = 1.0 - 2.0 ** -40
+    assert vals["hardy_p2"] == pytest.approx(math.sqrt(2.0), rel=1e-11)
+    assert vals["bergman_p2"] == pytest.approx(math.sqrt(20.0 / (3.0 * math.pi)), rel=1e-11)
+    assert vals["mixed_p2_q2_gamma0"] == pytest.approx(math.sqrt(1.5), rel=1e-10)
+    assert vals["mixed_sup_p2"] == pytest.approx(math.sqrt(1.0 + r * r), rel=1e-11)
+
+
+def test_norms_samples_each_circle_once(capsys, monkeypatch):
+    # the Bergman and mixed lines share one hardy_means_u call per chunk of
+    # radial levels; the sup grid and r = 1 take one call each
+    import bergman.analytic as analytic
+    hardy, radial = analytic.hardy_means_u, analytic.weighted_radial_integral
+    calls, levels = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return hardy(*args, **kwargs)
+
+    def integral(*args, **kwargs):
+        val, diag = radial(*args, **kwargs)
+        levels.append(diag["levels"])
+        return val, diag
+
+    monkeypatch.setattr(analytic, "hardy_means_u", counted)
+    monkeypatch.setattr(cli, "hardy_means_u", counted)
+    monkeypatch.setattr(analytic, "weighted_radial_integral", integral)
+    code, _ = run(capsys, "norms", "--f", "poly(1,0.5,-0.25,0.75)",
+                  "--weight", "std(alpha=0.5)", "--p", "3")
+    assert code == 0 and len(levels) == 1
+    assert len(calls) == math.ceil(levels[0] / analytic._LEVELS_PER_CHUNK) + 2
+
+
+def test_norms_lines_match_one_line_calls(capsys):
+    # the shared radial pass prints the values of separate bergman_norm and
+    # mixed_norm calls, the flat rule included (logpow, gamma = 0)
+    f, spec = parse_function_spec("poly(1,-0.5,0.25,0,0.75)"), "logpow(beta=2)"
+    w = parse_weight(spec).normalized()
+    for p, gamma in [(1.5, 0.5), (3.0, 0.0)]:
+        code, out = run(capsys, "norms", "--f", "poly(1,-0.5,0.25,0,0.75)", "--weight", spec,
+                        "--p", repr(p), "--q", "2.5", "--gamma", repr(gamma))
+        vals = dict(line.split(": ") for line in out.splitlines())
+        assert code == 0
+        assert vals["bergman_p%g" % p] == "%.12e" % float(bergman_norm(f, p, w))
+        assert vals["mixed_p%g_q2.5_gamma%g" % (p, gamma)] == \
+            "%.12e" % float(mixed_norm(f, p, 2.5, w, gamma=gamma))
 
 
 @pytest.mark.parametrize("option", [("--p", "nan"), ("--p=-inf",),
@@ -208,7 +261,8 @@ def test_norms_capped_circle_mean_is_an_error(capsys, monkeypatch, tmp_path):
     lines = captured.err.splitlines()
     assert code == 1 and captured.out == "" and not out.exists()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "node cap" in lines[0]
-    assert "hardy_p3" in lines[0]
+    for name in ("bergman_p3", "mixed_p3_q2_gamma0", "hardy_p3"):
+        assert name in lines[0]
 
 
 def test_norms_p_infinity(capsys):

@@ -158,6 +158,13 @@ def test_lp_hat_norm_flat_profile(w_const):
     assert float(val) == pytest.approx(math.sqrt(0.5), rel=1e-11)
 
 
+def test_lp_hat_norm_zero_profile_is_finite_zero(w_std_m05):
+    # the zero integrand walks the quadrature to its level cap, where
+    # all-zero panels give 0 rather than a divergence verdict
+    val = lp_hat_norm(lambda u: np.zeros_like(u), 2.0, w_std_m05)
+    assert val.verdict == "finite" and val.value == 0.0
+
+
 def test_lp_hat_norm_divergence(w_const):
     # phi(t) = (1-t)^(-3/2) = u^(-3/2) against tail (1-t): local exponent -2
     # diverges

@@ -60,6 +60,8 @@ def _panel_by_panel(f, u_lo, u_hi, adaptive=False):
                 if ratio >= 1.0 - 1e-12:
                     raise QuadratureDivergence("reference", exponent=1.0 + np.log2(ratio))
                 return total + contribs[-1] * ratio / (1.0 - ratio), level + 1
+    if not any(contribs):
+        return 0.0, quadrature._MAX_LEVELS
     ratio = stable(contribs, window=6, agree=1e-3)
     if ratio is not None and ratio < 1:
         return total + contribs[-1] * ratio / (1.0 - ratio), quadrature._MAX_LEVELS
@@ -75,6 +77,8 @@ _REFERENCE_CASES = {
     "lo one past an edge": (lambda u: u ** 2.0, 2.0 ** -(2 * _CHUNK + 1), 1.0),
     "growing to lo": (lambda u: u ** -1.5, 1e-30, 1.0),
     "zero to lo": (np.zeros_like, 1e-3, 1.0),
+    # never small against a total of 0: all-zero panels up to the cap give 0
+    "zero to the cap": (np.zeros_like, 0.0, 1.0),
     "log decay to the cap": (lambda u: 1.0 / (u * (1.0 - np.log(u)) ** 2), 0.0, 1.0),
     "exp tail": (lambda u: np.exp(-1.0 / u) / u ** 2, 0.0, 0.5),
 }
@@ -104,8 +108,8 @@ def test_integrate_geometric_log_decay_reaches_the_level_cap():
     assert integrate_geometric(f, 0.0, 1.0) == pytest.approx(1.0, rel=1e-2)
 
 
-@pytest.mark.parametrize("f", [lambda u: u ** -1.5, np.zeros_like])
-def test_integrate_geometric_raises_as_the_panel_loop(f):
+def test_integrate_geometric_raises_as_the_panel_loop():
+    f = lambda u: u ** -1.5
     with pytest.raises(QuadratureDivergence) as ref:
         _panel_by_panel(f, 0.0, 1.0)
     with pytest.raises(QuadratureDivergence) as mine:
@@ -178,7 +182,8 @@ def test_weighted_radial_integral_weights_match_single_calls():
         (21, "decay"), (35, "flat"), (12, "decay")]
     vals, diag = weighted_radial_integral(_profile, ws)
     assert list(vals) == [v for v, _ in singles]
-    assert diag == {"levels": 35, "stop": "flat"}
+    assert (diag["levels"], diag["stop"]) == (35, "flat")
+    assert diag["per_weight"] == [d["per_weight"][0] for _, d in singles]
 
     # one profile per weight, with a column that never stops
     def per_weight(u):
@@ -191,7 +196,20 @@ def test_weighted_radial_integral_weights_match_single_calls():
                              (np.zeros_like, ws[2])]]
     assert list(vals) == [v for v, _ in expected]
     assert [d["stop"] for _, d in expected] == ["flat", "decay", "max-level"]
-    assert diag == {"levels": 220, "stop": "max-level"}
+    assert (diag["levels"], diag["stop"]) == (220, "max-level")
+
+
+def test_weighted_radial_integral_factors_per_weight_match_single_calls():
+    # one gamma and one factor r per weight, each with its own stop rule:
+    # flat only where gamma = 0
+    ws = [logpow_weight(2.0), logpow_weight(2.0), std_weight(1.0)]
+    gammas, with_r = [0.0, 0.5, 0.0], [True, False, False]
+    vals, diag = weighted_radial_integral(_profile, ws, gamma=gammas, include_r=with_r)
+    singles = [weighted_radial_integral(_profile, w, gamma=g, include_r=r)
+               for w, g, r in zip(ws, gammas, with_r)]
+    assert list(vals) == [v for v, _ in singles]
+    assert diag["per_weight"] == [d["per_weight"][0] for _, d in singles]
+    assert [d["stop"] for d in diag["per_weight"]] == ["flat", "decay", "decay"]
 
 
 def test_weighted_radial_integral_gamma_against_closed_form():
