@@ -5,11 +5,12 @@ grid maxima behind M_inf are computed by uniform sampling at the N-th roots
 of unity via the FFT, doubling N until the mean at N agrees with the mean
 over its even nodes, which are the N/2 nodes of the same FFT.  One doubling
 loop, ``_doubling_means``, serves every p, M_inf included, and many
-coefficient rows in stop groups: the radii of one function stop together,
-the blocks of a decomposition on the unit circle each on their own.  The
-moduli at each N are computed once, in row blocks that bound the FFT
-temporaries.  The scaled coefficients c_k r^k are built once per call, for
-all radii at once.  Sampling a degree-d polynomial at N points is the DFT
+coefficient rows, each of which stops on its own: a radius's value does not
+depend on the other radii of its call, nor a block's of a decomposition on
+the other blocks.  The moduli at each N are computed once for the rows
+still running, in row blocks that bound the FFT temporaries.  The scaled
+coefficients c_k r^k are built once per call, for all radii at once.
+Sampling a degree-d polynomial at N points is the DFT
 of that row folded modulo N, exact for every N; the FFT zero-pads the row
 itself, so the fold happens only when d + 1 > N, i.e. at the 2^18 node
 cap.  Real coefficients (every corpus function, operator image and symbol
@@ -253,50 +254,53 @@ def _circle_moduli(scaled, n):
     return np.abs(fft(scaled, n=n, axis=1)), _node_weights(n, real)
 
 
-def _doubling_means(scaled, group, least, ps, rel_tol):
-    """Circle means of the rows ``scaled``, shape (len(ps), rows), and
-    diags[k][g] (``nodes``, ``last_increment``, ``capped``) of ps[k] in stop
-    group g.  ``group[i]`` is row i's stop group (each group's rows are
-    contiguous) and ``least[g]`` the group's least node count.  A finite p
-    gives the p-mean, p = inf the grid maximum.
+def _doubling_means(scaled, least, ps, rel_tol):
+    """Circle means of the rows ``scaled``, shape (len(ps), rows), and each
+    (p, row)'s stop ``nodes``, ``gaps`` and ``capped``, each of that shape.
+    ``least`` is each row's least node count, or one count for every row.
+    A finite p gives the p-mean, p = inf the grid maximum.
 
-    The schedule: a group's first N is the least power of two >= least[g]
-    in [2^7, 2^18], and it is sampled from twice that (clipped to 2^18),
-    doubling.  Each N stands on its own: its mean is compared with the mean
-    over its even nodes, which are the N/2 nodes, and a p stops in a group
-    once the two agree to ``rel_tol`` on every row of the group, or N is
-    2^18.  So a group stops at the N, with the bits, of a loop that samples
-    every N from the first and compares successive N.  A first N at 2^18
-    has no N/2 to compare with and caps; a group without rows stops at its
-    start.  Moduli are computed once per N, in blocks of <= ``_BLOCK_SAMPLES``
-    samples with one reduction per row: no other row moves a row's bits.
+    Every row stops on its own.  Its first N is the least power of two
+    >= its least count in [2^7, 2^18], and it is sampled from twice that
+    (clipped to 2^18), doubling.  Each N stands on its own: its mean is
+    compared with the mean over its even nodes, which are the N/2 nodes,
+    and a p stops on a row once the two agree to ``rel_tol`` (the gap), or
+    N is 2^18.  So a row stops at the N, with the bits, of a loop that
+    samples every N of that row from the first and compares successive N.
+    A first N at 2^18 has no N/2 to compare with: its gap is NaN and it
+    caps.  Moduli are computed once per N for the rows some p still runs,
+    in blocks of <= ``_BLOCK_SAMPLES`` samples with one reduction per row:
+    no other row moves a row's stop or bits.
     """
-    spans = np.searchsorted(group, np.arange(len(least) + 1)).tolist()
-    firsts = [2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, (m - 1).bit_length())) for m in least]
-    starts = [min(2 * first, 2 ** _N_CAP_LOG2) for first in firsts]
+    cap, rows = 2 ** _N_CAP_LOG2, len(scaled)
+    first = lambda m: 2 ** max(_N_START_LOG2, min(_N_CAP_LOG2, (int(m) - 1).bit_length()))
+    firsts = np.full(rows, first(least)) if np.ndim(least) == 0 else \
+        np.array([first(m) for m in least], dtype=int)
+    starts = np.minimum(2 * firsts, cap)
     roots = [1.0 / p if p < math.inf else 1.0 for p in ps]
-    todo = [set(range(len(least))) for _ in ps]         # the groups each p runs
-    sums, halves = np.full((2, len(ps), len(scaled)), math.nan)
-    diags = [[None] * len(least) for _ in ps]
-    n, live = 0, range(len(least))
-    while live:
-        n = max(2 * n, min(starts[g] for g in live))
-        now = [g for g in live if starts[g] <= n]       # the groups sampled at n
-        rows = [i for g in now for i in range(spans[g], spans[g + 1])]
+    todo = np.ones((len(ps), rows), dtype=bool)        # the rows each p runs
+    sums, halves, gaps = np.full((3, len(ps), rows), math.nan)
+    nodes = np.zeros((len(ps), rows), dtype=int)
+    n, live, vals = 0, todo.any(axis=0), sums
+    while live.any():
+        n = max(2 * n, int(starts[live].min()))
+        now = live & (starts <= n)                     # the rows sampled at n
+        sampled = now.nonzero()[0]
+        every = todo.all(axis=1).tolist()              # the p that run every row
         # only a row that starts at the cap is longer than n (and is folded)
-        cols = scaled if n >= 2 ** _N_CAP_LOG2 else scaled[:, :n]
+        cols = scaled if n >= cap else scaled[:, :n]
         block = max(1, _BLOCK_SAMPLES // n)
         even = _node_weights(n // 2, scaled.dtype.kind == "f")
-        for lo in range(0, len(rows), block):
-            ids = rows[lo:lo + block]
+        for lo in range(0, len(sampled), block):
+            ids = sampled[lo:lo + block]
             sel = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else ids
             mods, weights = _circle_moduli(cols[sel], n)
             for k, p in enumerate(ps):
-                use = [group[i] in todo[k] for i in ids]
-                if all(use):
+                use = None if every[k] else todo[k, ids]
+                if use is None or use.all():
                     at, part = sel, mods
-                elif any(use):
-                    at, part = np.array(ids)[use], mods[use]
+                elif use.any():
+                    at, part = ids[use], mods[use]
                 else:
                     continue
                 if p == math.inf:
@@ -306,19 +310,27 @@ def _doubling_means(scaled, group, least, ps, rel_tol):
                 sums[k, at] = np.vecdot(powers, weights)
                 halves[k, at] = np.vecdot(powers[:, ::2], even)
                 del powers              # freed before the next FFT, as mods ** p was
-        for k, root in enumerate(roots):
-            vals = sums[k] ** root
-            errs = np.abs(vals - halves[k] ** root) / (vals + 1e-300)
-            for g in [g for g in now if g in todo[k]]:
-                lo, hi = spans[g], spans[g + 1]
-                err = float(errs[lo:hi].max(initial=0.0)) if firsts[g] < n or lo == hi \
-                    else math.nan
-                if err < rel_tol or n >= 2 ** _N_CAP_LOG2:
-                    diags[k][g] = {"nodes": n, "last_increment": err,
-                                   "capped": not err < rel_tol}
-                    todo[k].discard(g)
-        live = sorted(set().union(*todo))
-    return np.array([s ** root for s, root in zip(sums, roots)]), diags
+        vals = np.array([s ** root for s, root in zip(sums, roots)])
+        errs = np.array([np.abs(v - h ** root) / (v + 1e-300)
+                         for v, h, root in zip(vals, halves, roots)])
+        stop = todo & now
+        if n >= cap:
+            errs[:, firsts >= n] = math.nan            # a first N has no N/2
+        else:
+            stop &= errs < rel_tol
+        np.copyto(nodes, n, where=stop)
+        np.copyto(gaps, errs, where=stop)
+        todo ^= stop
+        live = todo.any(axis=0)
+    return vals, nodes, gaps, ~(gaps < rel_tol)
+
+
+def _stop_diags(nodes, gaps, capped):
+    """One diag per p of a call's rows: the largest stop ``nodes`` any row
+    used, the largest gap at a row's stop (``last_increment``, NaN where a
+    first N had none) and ``capped`` if any row capped."""
+    return [{"nodes": int(n.max(initial=0)), "last_increment": float(g.max(initial=0.0)),
+             "capped": bool(c.any())} for n, g, c in zip(nodes, gaps, capped)]
 
 
 def hardy_means_u(f, p, us, rel_tol=1e-9):
@@ -326,11 +338,13 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
 
     Returns (values, diag), values of shape (len(us),) for a scalar p and
     (len(p), len(us)) for a sequence; each p must be finite and > 0.  p = 2
-    is exact (Parseval).  Other p take the ``_doubling_means`` schedule with
-    every radius in one stop group and least 2d + 2 nodes, so each p stops
-    at its own call's N with its bits.  One ``diag``: the ``method`` or the
-    full-circle ``nodes`` and ``last_increment`` of the p that sampled most,
-    ``capped`` if any p hit 2^18, and each p's own in ``per_p``.
+    is exact (Parseval, summed radius by radius).  Other p take the
+    ``_doubling_means`` schedule from least 2d + 2 nodes, where each radius
+    stops on its own, so every value is that of a call on its radius alone
+    with one p, bit for bit.  One ``diag``: the ``method``, or the largest
+    ``nodes`` any radius used and the largest ``last_increment`` at a
+    radius's stop, of the p that sampled most; ``capped`` if any radius of
+    any p hit 2^18; and each p's own in ``per_p``.
     """
     scalar = isinstance(p, (int, float, np.number))
     ps = [float(q) for q in ([p] if scalar else p)]
@@ -344,14 +358,14 @@ def hardy_means_u(f, p, us, rel_tol=1e-9):
         mags = np.abs(coeffs) ** 2
         nz = np.nonzero(mags)[0]
         # only nonzero coefficients enter (sparse gap series can have huge degree)
-        means[[q == 2 for q in ps]] = np.sqrt(_power_matrix(us, nz, factor=2.0) @ mags[nz]) \
-            if len(nz) else 0.0
+        means[[q == 2 for q in ps]] = \
+            np.sqrt(np.vecdot(_power_matrix(us, nz, factor=2.0), mags[nz])) if len(nz) else 0.0
     odd = [k for k, q in enumerate(ps) if q != 2]
     if odd:
-        means[odd], diags = _doubling_means(_scaled_coefficients(coeffs, us), [0] * len(us),
-                                            [2 * len(coeffs)], [ps[k] for k in odd], rel_tol)
-        for k, dk in zip(odd, diags):
-            per_p[k] = dk[0]
+        means[odd], nodes, gaps, capped = _doubling_means(
+            _scaled_coefficients(coeffs, us), 2 * len(coeffs), [ps[k] for k in odd], rel_tol)
+        for k, dk in zip(odd, _stop_diags(nodes, gaps, capped)):
+            per_p[k] = dk
     # the p that sampled most (the last of them on ties) speaks for the call
     last = max(reversed(per_p), key=lambda dk: dk.get("nodes", 0))
     diag = dict(last, capped=any(dk["capped"] for dk in per_p), per_p=per_p)
@@ -370,20 +384,23 @@ def m_infinity_u(f, us, rel_tol=1e-6):
 
     A nonnegative real series peaks at theta = 0, exactly f(r), and samples
     nothing (``capped`` false).  Otherwise the maxima take the
-    ``_doubling_means`` schedule with every radius in one stop group and
-    least max(4d + 4, 2^9) nodes.  ``diag``: the
-    ``nodes``, the last comparison's ``resolution``, and ``capped`` if that
-    comparison failed at 2^18, or a first N at 2^18 had none.
+    ``_doubling_means`` schedule from least max(4d + 4, 2^9) nodes, where
+    each radius stops on its own; either way a value is that of a call on
+    its radius alone, bit for bit.  ``diag``: the largest ``nodes`` any
+    radius used, the largest ``resolution`` (gap) at a radius's stop, and
+    ``capped`` if some radius's comparison failed at 2^18, or a first N at
+    2^18 had none.
     """
     coeffs = f.coefficients
     us = np.asarray(us, dtype=float)
     if np.all(coeffs.imag == 0) and np.all(coeffs.real >= 0):
         # triangle equality: the maximum sits at theta = 0 and equals f(r)
         nz = np.nonzero(coeffs.real)[0]
-        return _power_matrix(us, nz) @ coeffs.real[nz], {"method": "nonneg-exact",
-                                                          "capped": False}
-    (vals,), [[diag]] = _doubling_means(_scaled_coefficients(coeffs, us), [0] * len(us),
-                                        [max(4 * len(coeffs), 2 ** 9)], [math.inf], rel_tol)
+        return np.vecdot(_power_matrix(us, nz), coeffs.real[nz]), {"method": "nonneg-exact",
+                                                                    "capped": False}
+    (vals,), *stops = _doubling_means(_scaled_coefficients(coeffs, us),
+                                      max(4 * len(coeffs), 2 ** 9), [math.inf], rel_tol)
+    [diag] = _stop_diags(*stops)
     diag["resolution"] = diag.pop("last_increment")
     return vals, diag
 
@@ -394,9 +411,11 @@ def circle_profile(f, cols, rel_tol=None):
     Every distinct finite p comes from one ``hardy_means_u`` call and p = inf
     from ``m_infinity_u``, each at ``rel_tol`` (None keeps each one's own
     default), so a column's row is that function's value raised to q, bit
-    for bit.  The profile feeds ``weighted_radial_integral`` one column per
-    weight, or ``mixed_norm_sup`` at q = 1.  Its ``capped`` is true once a
-    call it made hit the 2^18 node cap.
+    for bit.  Each radius stops on its own, so a radius's column values do
+    not depend on which other radii share its evaluation.  The profile feeds
+    ``weighted_radial_integral`` one column per weight, or ``mixed_norm_sup``
+    at q = 1.  Its ``capped`` is true once a radius of a call it made hit
+    the 2^18 node cap.
     """
     ps = list(dict.fromkeys(p for p, _ in cols if p != math.inf))
     tol = {} if rel_tol is None else {"rel_tol": rel_tol}
@@ -421,7 +440,8 @@ def _slice_norms(coeffs, bounds, ps):
     in a nonzero coefficient) and every p, with the nodes (0 for p = 2) and
     whether they capped, each shape (len(ps), slices).  hardy_mean(slice,
     p, 1.0) bit for bit: p = 2 by its Parseval sum (all-ones powers at
-    r = 1), other p in one ``_doubling_means`` loop per FFT kind it takes.
+    r = 1), other p in one ``_doubling_means`` loop per FFT kind it takes,
+    where each slice stops on its own.
     """
     vals, nodes, capped = np.zeros((3, len(ps), len(bounds)))
     if 2.0 in ps:
@@ -437,11 +457,10 @@ def _slice_norms(coeffs, bounds, ps):
             mat = np.zeros((len(ids), max(lengths)), dtype=src.dtype)
             for row, (lo, hi) in zip(mat, [bounds[j] for j in ids]):
                 row[:hi - lo] = src[lo:hi]
-            means, diags = _doubling_means(mat, range(len(ids)), [2 * m for m in lengths],
-                                           [ps[k] for k in odd], 1e-9)
-            for k, mk, dk in zip(odd, means, diags):
-                vals[k, ids] = mk
-                nodes[k, ids], capped[k, ids] = zip(*[(d["nodes"], d["capped"]) for d in dk])
+            means, n, _, cap = _doubling_means(mat, [2 * m for m in lengths],
+                                               [ps[k] for k in odd], 1e-9)
+            for k, mk, nk, ck in zip(odd, means, n, cap):
+                vals[k, ids], nodes[k, ids], capped[k, ids] = mk, nk, ck
     return vals, nodes.astype(int), capped.astype(bool)
 
 
@@ -474,7 +493,8 @@ def weighted_radial_integral(gfn, ws, gamma=0.0, include_r=False,
     are one value for every weight or a sequence of one per weight.  Each
     weight keeps the arithmetic and stopping rules of its own call, so its
     value is that call's bit for bit; the profile is evaluated per chunk
-    while any weight still runs.  ``diag`` has the deepest weight's
+    while any weight still runs, and each distinct weight object's density
+    once per chunk.  ``diag`` has the deepest weight's
     ``levels``; its ``stop`` is "max-level" if any weight hit the level
     cap, else the deepest one's rule; ``per_weight`` holds each weight's
     own ``levels`` and ``stop``.
@@ -494,10 +514,14 @@ def weighted_radial_integral(gfn, ws, gamma=0.0, include_r=False,
         nodes, halves = gauss_panels(1.0, js)
         u_nodes = nodes.ravel()
         g_all = np.asarray(gfn(u_nodes), dtype=float)
+        # one density per distinct running weight: columns often share one
+        density = {id(weights[k]): weights[k] for k in running}
+        density = {key: np.asarray(w.density_u(u_nodes), dtype=float).reshape(nodes.shape)
+                   for key, w in density.items()}
         for k in running:
             w, c, gam = weights[k], contribs[k], gammas[k]
             g_vals = (g_all if g_all.ndim == 1 else g_all[k]).reshape(nodes.shape)
-            integ = g_vals * np.asarray(w.density_u(u_nodes), dtype=float).reshape(nodes.shape)
+            integ = g_vals * density[id(w)]
             if gam:
                 integ = integ * nodes ** gam
             if with_r[k]:
@@ -543,7 +567,8 @@ def radial_norms(f, p, w, lines):
     with its own factor r or (1-r)^gamma and its own stop rule, so each
     circle is sampled once for all lines and each value is that of a
     one-line call bit for bit.  A capped circle mean makes these lines
-    ``undetermined``.
+    ``undetermined`` (diagnostic ``capped``), and so does a line whose
+    radial integral stopped at the level cap (``stop`` "max-level").
     """
     area = [line is None for line in lines]
     if any(area) and not 0 < p < math.inf:
@@ -567,6 +592,8 @@ def radial_norms(f, p, w, lines):
             line_diag["convention"] = "area"
         if profile.capped:
             norms[k] = undetermined(method="quadrature", capped=True, **line_diag)
+        elif line_diag["stop"] == "max-level":
+            norms[k] = undetermined(method="quadrature", **line_diag)
         else:
             norms[k] = finite((2.0 * val if area[k] else val) ** (1.0 / q),
                               method="quadrature", **line_diag)

@@ -19,7 +19,8 @@ norms             norm battery for one function against one weight: the
                   that samples each circle once (at p = 2 the Bergman
                   line is the exact moment sum), then the sup-grid line
                   and M_p(1, f); a norm whose circle means hit the node
-                  cap is an error; --p inf prints the mixed, sup and
+                  cap, or whose radial integral hit the level cap, is an
+                  error; --p inf prints the mixed, sup and
                   M_inf lines and names the Bergman line
                   "undefined (A^p_omega needs finite p)"
 
@@ -192,9 +193,15 @@ def _cmd_norms(args):
     hardy, diag = m_infinity_u(f, [0.0]) if p_inf else hardy_means_u(f, args.p, [0.0])
     rows.append(("hardy_p%g" % args.p, finite(hardy[0], capped=diag["capped"])))
     capped = [name for name, v in rows if v is not None and v.diagnostics.get("capped")]
+    deep = [name for name, v in rows
+            if v is not None and v.diagnostics.get("stop") == "max-level"]
+    causes = []
     if capped:
-        raise DomainError("the circle means behind %s hit the 2^18 node cap: "
-                          "undetermined" % ", ".join(capped))
+        causes.append("the circle means behind %s hit the 2^18 node cap" % ", ".join(capped))
+    if deep:
+        causes.append("the radial integrals behind %s hit the level cap" % ", ".join(deep))
+    if causes:
+        raise DomainError("%s: undetermined" % "; ".join(causes))
     _emit(["%s: " % name + ("undefined (A^p_omega needs finite p)" if v is None
                             else _F % float(v)) for name, v in rows], args.out)
     return 0

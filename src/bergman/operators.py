@@ -38,7 +38,7 @@ from .analytic import AnalyticFunction, bergman_norm, circle_profile
 from .errors import DomainError, WellDefinednessError
 from .quadrature import (_WEIGHTS as _GAUSS_WEIGHTS, gauss_panels,
                          integrate_geometric, integrate_geometric_vec)
-from .results import divergent, finite
+from .results import divergent, finite, undetermined
 from .weights import carleson_mass, condition_99
 
 #: largest Hankel product N m still summed densely (cheaper than the FFT)
@@ -194,7 +194,9 @@ def lp_hat_norm(phi, p, w, t_min=0.0):
     """(integral of |phi(t)|^p tail(t) dt)^(1/p) over [t_min, 1).
 
     The natural restriction of the Bergman norm to profiles phi(u),
-    u = 1 - t; divergence of the improper integral is returned as a verdict.
+    u = 1 - t; divergence of the improper integral is returned as a verdict,
+    ``divergent`` with its local exponent, or ``undetermined`` when the
+    quadrature reached its level cap without one.
     """
     if p <= 0:
         raise DomainError("lp_hat_norm requires p > 0")
@@ -206,8 +208,10 @@ def lp_hat_norm(phi, p, w, t_min=0.0):
     try:
         val = integrate_geometric(integrand, 0.0, 1.0 - t_min)
     except ArithmeticError as exc:
-        return divergent(method="quadrature",
-                         exponent=getattr(exc, "exponent", None))
+        exponent = getattr(exc, "exponent", None)
+        if exponent is None:
+            return undetermined(method="quadrature", reason=str(exc))
+        return divergent(method="quadrature", exponent=exponent)
     return finite(val ** (1.0 / p), method="quadrature")
 
 

@@ -20,7 +20,8 @@ integrand form an exact geometric sequence, so the loop stops once the
 contribution ratio stabilizes and closes the remaining tail with the
 geometric sum.  A ratio that refuses to drop below 1 is reported as
 divergence together with the implied local exponent.  An integrand that
-is exactly 0 on every panel up to the level cap integrates to 0.
+is exactly 0 on every panel up to the level cap integrates to 0; any other
+integrand that reaches the cap raises, without an exponent.
 
 :func:`gauss_panels` is the one panel table: nodes and half-widths of a
 batch of dyadic levels or of the panels between descending edges.  Its
@@ -134,7 +135,9 @@ def integrate_geometric(f, u_lo, u_hi, adaptive=False):
     decisions of the module docstring are then taken level by level.  So
     the value is that of a loop calling ``f`` per panel, bit for bit, and
     ``f`` sees at most one chunk past the last level used.  Raises
-    :class:`QuadratureDivergence` when the contributions fail to decay.
+    :class:`QuadratureDivergence` when the contributions fail to decay (with
+    the local exponent) or are still not negligible at the level cap
+    (without one).
     """
     if u_hi <= u_lo:
         return 0.0
@@ -170,13 +173,10 @@ def integrate_geometric(f, u_lo, u_hi, adaptive=False):
                 return total
 
     # Ran out of levels: an integrand that was exactly 0 on every panel
-    # integrates to 0; otherwise close with a geometric tail if plausible,
-    # else give up.
+    # integrates to 0.  Anything else is unresolved (slow log-type decay or
+    # divergence look alike here), so no tail is guessed.
     if not any(contribs):
         return 0.0
-    ratio = _stable_ratio(contribs, window=6, agree=1e-3)
-    if ratio is not None and ratio < 1:
-        return total + contribs[-1] * ratio / (1.0 - ratio)
     raise QuadratureDivergence("no convergence after %d geometric levels" % _MAX_LEVELS)
 
 
@@ -201,8 +201,9 @@ def _panel_contributions(f, u_lo, u_hi, adaptive):
         yield from zip(levels.tolist(), sums)
 
 
-def _stable_ratio(contribs, window=4, agree=1e-8):
+def _stable_ratio(contribs):
     """Common ratio of the last few panel contributions, if they agree."""
+    window, agree = 4, 1e-8
     if len(contribs) < window + 1:
         return None
     tail = contribs[-(window + 1):]

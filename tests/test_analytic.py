@@ -1,6 +1,7 @@
 """Circle means, area norms, and coefficient functionals."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -280,20 +281,25 @@ _SCHEDULE_PS = [0.7, 1.5, 3.0, 5.0]
 
 @pytest.mark.parametrize("rel_tol", [1e-9, 1e-6])
 def test_hardy_means_stop_where_every_n_is_sampled(rel_tol):
-    # the stop N, the cap flag and the bits of each p are those of the loop
-    # that samples the first N too, instead of its even subsample
+    # each row's stop N, cap flag and bits, for each p, are those of the
+    # loop that samples that row's first N too, instead of its even
+    # subsample; the call's diag holds the largest N and any cap
     us = np.array([0.5, 0.05, 1e-3, 1e-5, 0.0])
-    seen = set()
+    seen, spread = set(), False
     for f in _schedule_corpus():
         vals, diag = hardy_means_u(f, _SCHEDULE_PS, us, rel_tol=rel_tol)
         scaled = _scaled_coefficients(f.coefficients, us)
+        start = max(128, 2 ** (2 * len(f.coefficients) - 1).bit_length())
         for k, p in enumerate(_SCHEDULE_PS):
-            n, capped, want = _reference_doubling(scaled, p, rel_tol)
+            nodes, capped, want = zip(*[_reference_doubling(scaled[i:i + 1], p, rel_tol)
+                                        for i in range(len(us))])
             mine = diag["per_p"][k]
-            assert (mine["nodes"], mine["capped"]) == (n, capped), (f, p)
-            assert np.array_equal(vals[k], want), (f, p)
-            seen.add(n // max(128, 2 ** (2 * len(f.coefficients) - 1).bit_length()))
+            assert (mine["nodes"], mine["capped"]) == (max(nodes), any(capped)), (f, p)
+            assert np.array_equal(vals[k], np.concatenate(want)), (f, p)
+            seen.update(n // start for n in nodes)
+            spread |= len(set(nodes)) > 1
     assert {2, 4}.issubset(seen)          # stops at the start and past it
+    assert spread                         # rows of one call stop at different N
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -415,9 +421,9 @@ def test_block_hardy_norms_cap_edges():
 
 
 def _reference_m_infinity(f, us, rel_tol=1e-6):
-    """(nodes, maxima) of grid maxima with a fresh FFT at every N from the
-    least power of two >= 4d + 4 (below 2^18), until successive maxima
-    agree or N is 2^18."""
+    """(nodes, maxima) of one radius's grid maxima with a fresh FFT at every
+    N from the least power of two >= 4d + 4 (below 2^18), until successive
+    maxima agree or N is 2^18."""
     scaled = _scaled_coefficients(f.coefficients, us)
     n = 2 ** max(9, min(18, (4 * len(f.coefficients) - 1).bit_length()))
     prev = None
@@ -430,18 +436,19 @@ def _reference_m_infinity(f, us, rel_tol=1e-6):
 
 
 def test_m_infinity_stops_where_every_n_is_sampled():
-    # the same N as sampling the first N too; at a stop on the first
-    # comparison the maximum of the even subsample is already in the
-    # grid, so only a separate FFT's rounding of it can differ
+    # each radius stops at the N of its own loop that samples the first N
+    # too; at a stop on the first comparison the maximum of the even
+    # subsample is already in the grid, so only a separate FFT's rounding
+    # of it can differ
     us = np.array([0.5, 0.05, 1e-3, 0.0])
     seen = set()
     for f in _schedule_corpus():
         vals, diag = m_infinity_u(f, us)
-        n, want = _reference_m_infinity(f, us)
-        assert diag["nodes"] == n and diag["capped"] is False
+        nodes, want = zip(*[_reference_m_infinity(f, us[i:i + 1]) for i in range(len(us))])
+        assert diag["nodes"] == max(nodes) and diag["capped"] is False
         assert diag["resolution"] < 1e-6
-        assert np.allclose(vals, want, rtol=1e-15, atol=0)
-        seen.add(n)
+        assert np.allclose(vals, np.concatenate(want), rtol=1e-15, atol=0)
+        seen.update(nodes)
     assert len(seen) > 1
 
 
@@ -462,29 +469,99 @@ def test_m_infinity_stays_within_node_cap():
 
 
 def test_stop_gap_is_the_even_subsample():
-    # at the stop N, last_increment (resolution for M_inf) is the relative
-    # gap between the N-point mean and the mean over its even nodes, both
-    # from that N's one FFT: no mean is carried over from the N before
+    # at each radius's stop N, last_increment (resolution for M_inf) is the
+    # relative gap between the N-point mean and the mean over its even
+    # nodes, both from that N's one FFT: no mean is carried over from the N
+    # before.  A one-radius call stops that radius as the full call does,
+    # and the full call reports the largest N and the largest gap
     us = np.array([0.5, 0.05, 1e-3, 1e-5, 0.0])
     past_start = 0
     for f in _schedule_corpus():
-        scaled = _scaled_coefficients(f.coefficients, us)
         m = len(f.coefficients)
         _, diag = hardy_means_u(f, _SCHEDULE_PS, us)
-        for p, mine in zip(_SCHEDULE_PS, diag["per_p"]):
-            n = mine["nodes"]
-            mods, weights = _circle_moduli(scaled, n)
-            powers = mods ** p
-            full = np.vecdot(powers, weights) ** (1.0 / p)
-            half = np.vecdot(powers[:, ::2], _circle_moduli(scaled, n // 2)[1]) ** (1.0 / p)
-            assert mine["last_increment"] == np.max(np.abs(full - half) / (full + 1e-300))
-            past_start += n > 2 * max(128, 2 ** (2 * m - 1).bit_length())
-        _, diag = m_infinity_u(f, us)
-        mods = _circle_moduli(scaled, diag["nodes"])[0]
-        top = mods.max(axis=1)
-        assert diag["resolution"] == np.max((top - mods[:, ::2].max(axis=1)) / (top + 1e-300))
-        past_start += diag["nodes"] > 2 * max(512, 2 ** (4 * m - 1).bit_length())
+        _, diag_inf = m_infinity_u(f, us)
+        rows = [(hardy_means_u(f, _SCHEDULE_PS, us[i:i + 1])[1], m_infinity_u(f, us[i:i + 1])[1])
+                for i in range(len(us))]
+        for i, (one, one_inf) in enumerate(rows):
+            scaled = _scaled_coefficients(f.coefficients, us[i:i + 1])
+            for p, mine in zip(_SCHEDULE_PS, one["per_p"]):
+                n = mine["nodes"]
+                mods, weights = _circle_moduli(scaled, n)
+                powers = mods ** p
+                full = np.vecdot(powers, weights) ** (1.0 / p)
+                half = np.vecdot(powers[:, ::2], _circle_moduli(scaled, n // 2)[1]) ** (1.0 / p)
+                assert mine["last_increment"] == np.max(np.abs(full - half) / (full + 1e-300))
+                past_start += n > 2 * max(128, 2 ** (2 * m - 1).bit_length())
+            mods = _circle_moduli(scaled, one_inf["nodes"])[0]
+            top = mods.max(axis=1)
+            assert one_inf["resolution"] == np.max((top - mods[:, ::2].max(axis=1))
+                                                   / (top + 1e-300))
+            past_start += one_inf["nodes"] > 2 * max(512, 2 ** (4 * m - 1).bit_length())
+        for k, mine in enumerate(diag["per_p"]):
+            assert mine["nodes"] == max(one["per_p"][k]["nodes"] for one, _ in rows)
+            assert mine["last_increment"] == max(one["per_p"][k]["last_increment"]
+                                                 for one, _ in rows)
+        assert diag_inf["nodes"] == max(one["nodes"] for _, one in rows)
+        assert diag_inf["resolution"] == max(one["resolution"] for _, one in rows)
     assert past_start
+
+
+def test_rows_stand_alone():
+    # a radius's value and stop do not depend on the other radii of its
+    # call: each row of a call equals the one-radius call bit for bit, for
+    # the sampled p, Parseval at p = 2, the sampled grid maxima and the
+    # nonnegative M_inf shortcut
+    img, chunk = _cor_hilb_chunk()
+    us = np.array([0.5, 0.05, 1e-3, 1e-5, 0.0])
+    signed = AnalyticFunction(img.coefficients * (-1.0) ** np.arange(img.degree + 1))
+    cases = [(f, us, 1e-9) for f in _schedule_corpus()] + [(img, chunk, 1e-6),
+                                                           (signed, chunk, 1e-6)]
+    for f, radii, tol in cases:
+        vals, _ = hardy_means_u(f, [0.7, 1.5, 2.0, 3.0], radii, rel_tol=tol)
+        maxima, _ = m_infinity_u(f, radii)
+        for i in range(0, len(radii), 8 if len(radii) > 8 else 1):
+            one = radii[i:i + 1]
+            assert np.array_equal(vals[:, i], hardy_means_u(f, [0.7, 1.5, 2.0, 3.0], one,
+                                                            rel_tol=tol)[0][:, 0]), (f, i)
+            assert maxima[i] == m_infinity_u(f, one)[0][0], (f, i)
+
+
+def test_caps_are_set_per_row(monkeypatch):
+    # |1 - z|^1.5 is not smooth on the unit circle: with the node cap at
+    # 2^10 the radii near 1 cap at p = 1.5 and the others stop below the
+    # cap with the N and bits they have under the default cap; p = 3 caps
+    # nowhere
+    import bergman.analytic as analytic
+    scaled = _scaled_coefficients(np.array([1.0, -1.0]), np.array([0.5, 0.1, 1e-2, 1e-4, 0.0]))
+    ref_vals, ref_nodes, _, ref_capped = analytic._doubling_means(scaled, 4, [1.5, 3.0], 1e-9)
+    assert not ref_capped.any()
+    monkeypatch.setattr(analytic, "_N_CAP_LOG2", 10)
+    vals, nodes, gaps, capped = analytic._doubling_means(scaled, 4, [1.5, 3.0], 1e-9)
+    assert capped.tolist() == [[False, False, True, True, True], [False] * 5]
+    assert np.all(nodes[capped] == 2 ** 10) and np.all(gaps[capped] >= 1e-9)
+    assert np.array_equal(nodes[~capped], ref_nodes[~capped])
+    assert np.array_equal(vals[~capped], ref_vals[~capped])
+
+
+def test_norms_p3_circle_samples_pinned(monkeypatch):
+    # the degree-12 complex polynomial of the benchmark's p = 3 norm
+    # queries: every circle sample of one `bergman norms --p 3` call,
+    # counted at the FFT, with each radius stopping on its own
+    import bergman.analytic as analytic
+    from bergman.cli import main
+    rng = random.Random(20121012)
+    c = [complex(round(rng.uniform(-1.0, 1.0), 6), round(rng.uniform(-1.0, 1.0), 6))
+         for _ in range(13)]
+    moduli, samples = analytic._circle_moduli, []
+
+    def counted(scaled, n):
+        samples.append(len(scaled) * n)
+        return moduli(scaled, n)
+
+    monkeypatch.setattr(analytic, "_circle_moduli", counted)
+    spec = "poly(%s)" % ",".join(repr(x).strip("()") for x in c)
+    assert main(["norms", "--f", spec, "--weight", "std(alpha=0.5)", "--p", "3"]) == 0
+    assert sum(samples) == 551424
 
 
 def test_empty_radii_give_empty_values():
@@ -603,6 +680,20 @@ def test_capped_circle_means_are_undetermined(monkeypatch, w_std_m05):
                   lambda_norm(f, 3.0, 0.5, 0.0, w_std_m05)):
         assert value.verdict == "undetermined" and value.diagnostics["capped"] is True
         assert math.isnan(float(value))
+
+
+def test_level_capped_radial_integrals_are_undetermined(monkeypatch, w_std_m05):
+    # with the level cap at one chunk the radial integrals stop at
+    # "max-level": the quadrature lines turn undetermined, the exact p = 2
+    # Bergman line does not
+    import bergman.analytic as analytic
+    monkeypatch.setattr(analytic, "_MAX_LEVEL", analytic._LEVELS_PER_CHUNK)
+    f = AnalyticFunction(_SIGNED)
+    for value in (bergman_norm(f, 3.0, w_std_m05), mixed_norm(f, 3.0, 2.0, w_std_m05),
+                  mixed_norm(f, 2.0, 2.0, w_std_m05), mixed_norm(f, math.inf, 2.0, w_std_m05)):
+        assert value.verdict == "undetermined" and math.isnan(float(value))
+        assert value.diagnostics["stop"] == "max-level" and "capped" not in value.diagnostics
+    assert bergman_norm(f, 2.0, w_std_m05).verdict == "finite"
 
 
 def test_mixed_norm_p2_coefficient_sum(w_linear, small_corpus):

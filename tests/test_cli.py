@@ -283,6 +283,23 @@ def test_norms_p_infinity(capsys):
     assert 0.0 < float(vals["mixed_pinf_q2_gamma0"]) < 3.5
 
 
+def test_norms_level_capped_radial_integral_is_an_error(capsys, monkeypatch):
+    # with the radial level cap at one chunk the Bergman and mixed lines are
+    # undetermined: one error line naming both and the level cap
+    import bergman.analytic as analytic
+    monkeypatch.setattr(analytic, "_MAX_LEVEL", analytic._LEVELS_PER_CHUNK)
+    code = main(["norms", "--f", "poly(1,-2,0.5,0.75)", "--weight", "std(alpha=-0.5)",
+                 "--p", "3"])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 1 and captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "level cap" in lines[0]
+    assert "node cap" not in lines[0]
+    for name in ("bergman_p3", "mixed_p3_q2_gamma0"):
+        assert name in lines[0]
+    assert "hardy_p3" not in lines[0] and "mixed_sup_p3" not in lines[0]
+
+
 def test_norms_p_infinity_capped_is_an_error(capsys, monkeypatch):
     # a first N at the 2^9 cap has no comparison, so every M_inf caps
     import bergman.analytic as analytic

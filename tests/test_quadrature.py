@@ -8,6 +8,7 @@ import pytest
 from bergman import quadrature
 from bergman.analytic import weighted_radial_integral
 from bergman.errors import QuadratureDivergence
+from bergman.operators import lp_hat_norm
 from bergman.quadrature import (_WEIGHTS, adaptive_panel, gauss_panel, gauss_panels,
                                 geometric_u_grid, integrate_geometric,
                                 integrate_geometric_vec)
@@ -62,9 +63,6 @@ def _panel_by_panel(f, u_lo, u_hi, adaptive=False):
                 return total + contribs[-1] * ratio / (1.0 - ratio), level + 1
     if not any(contribs):
         return 0.0, quadrature._MAX_LEVELS
-    ratio = stable(contribs, window=6, agree=1e-3)
-    if ratio is not None and ratio < 1:
-        return total + contribs[-1] * ratio / (1.0 - ratio), quadrature._MAX_LEVELS
     raise QuadratureDivergence("reference")
 
 
@@ -87,7 +85,14 @@ _REFERENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
 def test_integrate_geometric_matches_panel_loop(case):
     f, u_lo, u_hi = _REFERENCE_CASES[case]
-    expected, levels = _panel_by_panel(f, u_lo, u_hi)
+    try:
+        expected, levels = _panel_by_panel(f, u_lo, u_hi)
+    except QuadratureDivergence as ref:
+        # both loops raise at the level cap, neither with an exponent
+        with pytest.raises(QuadratureDivergence) as mine:
+            integrate_geometric(f, u_lo, u_hi)
+        assert mine.value.exponent is ref.exponent is None
+        return
     calls = []
 
     def counted(u):
@@ -101,11 +106,33 @@ def test_integrate_geometric_matches_panel_loop(case):
 
 
 def test_integrate_geometric_log_decay_reaches_the_level_cap():
+    # an integral of 1/(u (1 - log u)^2) over (0, 1] equals 1 exactly, but
+    # its panel contributions decay like 1/j^2, so 400 levels leave about
+    # 1/400 of it: an error at the cap, not a guessed geometric tail
     f = _REFERENCE_CASES["log decay to the cap"][0]
-    assert _panel_by_panel(f, 0.0, 1.0)[1] == quadrature._MAX_LEVELS
-    # an integral of 1/(u (1 - log u)^2) over (0, 1] equals 1 exactly; the
-    # fallback's geometric closure is only an estimate of the log tail
-    assert integrate_geometric(f, 0.0, 1.0) == pytest.approx(1.0, rel=1e-2)
+    with pytest.raises(QuadratureDivergence, match="after 400 geometric levels") as info:
+        integrate_geometric(f, 0.0, 1.0)
+    assert info.value.exponent is None
+
+
+# 1/(u (1 - log u)^s) over (0, 1] is 1/(s - 1) for s > 1 and diverges for
+# s <= 1; both cases below decay too slowly for the ratio tests, and no
+# geometric tail at the cap tells them apart
+_LOG_CAP_CASES = {"divergent (s = 1)": 1.0, "10000 (s = 1.0001)": 1.0001}
+
+
+@pytest.mark.parametrize("case", sorted(_LOG_CAP_CASES))
+def test_integrate_geometric_raises_at_the_level_cap(case):
+    s = _LOG_CAP_CASES[case]
+    f = lambda u: 1.0 / (u * (1.0 - np.log(u)) ** s)
+    with pytest.raises(QuadratureDivergence) as info:
+        integrate_geometric(f, 0.0, 1.0)
+    assert info.value.exponent is None
+    # the same integrand as |phi|^p tail against std(alpha=0), tail(u) = u
+    w = std_weight(0.0)
+    assert w.tail_u(np.array([0.5, 1e-9])) == pytest.approx([0.5, 1e-9], rel=1e-14)
+    norm = lp_hat_norm(lambda u: f(u) / u, 1.0, w)
+    assert norm.verdict == "undetermined" and "400" in norm.diagnostics["reason"]
 
 
 def test_integrate_geometric_raises_as_the_panel_loop():
@@ -210,6 +237,28 @@ def test_weighted_radial_integral_factors_per_weight_match_single_calls():
     assert list(vals) == [v for v, _ in singles]
     assert diag["per_weight"] == [d["per_weight"][0] for _, d in singles]
     assert [d["stop"] for d in diag["per_weight"]] == ["flat", "decay", "decay"]
+
+
+def test_weighted_radial_integral_one_density_per_weight_and_chunk(monkeypatch):
+    # columns that repeat one weight object share its density once per
+    # chunk while any of them runs, and keep the values of single calls
+    a, b = std_weight(1.0), logpow_weight(2.0)
+    ws, gammas = [a, b, a, b, a], [0.0, 0.0, 0.5, 0.5, 1.0]
+    singles = [weighted_radial_integral(_profile, w, gamma=g) for w, g in zip(ws, gammas)]
+    density, calls = type(a).density_u, []
+
+    def counted(self, u):
+        calls.append(self)
+        return density(self, u)
+
+    monkeypatch.setattr(type(a), "density_u", counted)
+    vals, diag = weighted_radial_integral(_profile, ws, gamma=gammas)
+    assert list(vals) == [v for v, _ in singles]
+    levels = [d["levels"] for d in diag["per_weight"]]
+    for w in (a, b):
+        deepest = max(n for v, n in zip(ws, levels) if v is w)
+        assert sum(c is w for c in calls) == math.ceil(deepest / 8)
+    assert len({(n - 1) // 8 for n in levels}) > 2      # repeats stop in different chunks
 
 
 def test_weighted_radial_integral_gamma_against_closed_form():
