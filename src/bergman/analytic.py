@@ -23,7 +23,8 @@ the norms built on it ``undetermined``, never ``finite``.
 Radial norm integrals reuse the geometric-panel scheme of quadrature.py in
 u = 1 - r.  Their integrands come from one builder, ``circle_profile``: one
 row M_p(1-u, f)^q per column (p, q), every finite p from one
-``hardy_means_u`` call and p = inf from ``m_infinity_u``.  For rapidly
+``hardy_means_u`` call and p = inf from ``m_infinity_u``; ``radial_norms``
+turns them into every Bergman and mixed norm, scenarios included.  For rapidly
 increasing weights the tail of the weight decays subgeometrically while
 M_p(r, f)^p of a polynomial is eventually constant to machine precision;
 the integrator detects this flatness and closes the integral with the
@@ -413,9 +414,9 @@ def circle_profile(f, cols, rel_tol=None):
     default), so a column's row is that function's value raised to q, bit
     for bit.  Each radius stops on its own, so a radius's column values do
     not depend on which other radii share its evaluation.  The profile feeds
-    ``weighted_radial_integral`` one column per weight, or ``mixed_norm_sup``
-    at q = 1.  Its ``capped`` is true once a radius of a call it made hit
-    the 2^18 node cap.
+    ``weighted_radial_integral`` one column per line of ``radial_norms``, or
+    ``mixed_norm_sup`` at q = 1.  Its ``capped`` is true once a radius of a
+    call it made hit the 2^18 node cap.
     """
     ps = list(dict.fromkeys(p for p, _ in cols if p != math.inf))
     tol = {} if rel_tol is None else {"rel_tol": rel_tol}
@@ -490,7 +491,8 @@ def weighted_radial_integral(gfn, ws, gamma=0.0, include_r=False,
     ``ws`` is a weight, or a list of weights with one value returned per
     weight; ``gfn`` then returns one profile shared by all (shape (n,)) or
     one per weight (shape (len(ws), n)), and ``gamma`` and ``include_r``
-    are one value for every weight or a sequence of one per weight.  Each
+    are one value for every weight or a sequence of one per weight
+    (``radial_norms``, the one caller, passes one of each per line).  Each
     weight keeps the arithmetic and stopping rules of its own call, so its
     value is that call's bit for bit; the profile is evaluated per chunk
     while any weight still runs, and each distinct weight object's density
@@ -553,41 +555,44 @@ def weighted_radial_integral(gfn, ws, gamma=0.0, include_r=False,
     return (stops[0][0] if single else np.array([s[0] for s in stops])), diag
 
 
-def radial_norms(f, p, w, lines):
-    """Norms of f against one weight w, one per line, from one radial pass.
+def radial_norms(f, lines, circle_tol=None, rel_tol=1e-11):
+    """Radial norms of f, one per line (any mix of p, weights and kinds),
+    from one radial pass.
 
-    A line None is the Bergman norm (2 integral of M_p^p(r,f) omega(r) r dr)^(1/p)
-    and a line (q, gamma) the mixed norm (integral of M_p^q(r,f) (1-r)^gamma
-    omega(r) dr)^(1/q): no factor r and no factor 2, the H(p,q,omega_gamma)
-    convention, deliberately distinct from the area convention.
+    A line (p, w) is the Bergman norm (2 integral of M_p^p(r,f) omega(r) r dr)^(1/p)
+    and a line (p, w, q, gamma) the mixed norm (integral of M_p^q(r,f)
+    (1-r)^gamma omega(r) dr)^(1/q): no factor r and no factor 2, the
+    H(p,q,omega_gamma) convention, deliberately distinct from the area one.
 
-    At p = 2 a Bergman line is the exact coefficient sum 2 sum |a_k|^2
-    omega_k of the radial moments.  Every other line is one column of one
-    ``circle_profile`` and one ``weighted_radial_integral`` over [w, ...],
-    with its own factor r or (1-r)^gamma and its own stop rule, so each
-    circle is sampled once for all lines and each value is that of a
-    one-line call bit for bit.  A capped circle mean makes these lines
-    ``undetermined`` (diagnostic ``capped``), and so does a line whose
-    radial integral stopped at the level cap (``stop`` "max-level").
+    A p = 2 Bergman line is the exact coefficient sum 2 sum |a_k|^2 omega_k.
+    Every other line is one column of one ``circle_profile`` (circle means
+    at ``circle_tol``, None for their defaults) and one
+    ``weighted_radial_integral`` at ``rel_tol``, with its own weight, factor
+    r or (1-r)^gamma and stop rule, so each circle is sampled once for all
+    lines and each value is that of a one-line call bit for bit.  A capped
+    circle mean makes these lines ``undetermined`` (diagnostic ``capped``),
+    and so does a radial integral at the level cap (``stop`` "max-level").
     """
-    area = [line is None for line in lines]
-    if any(area) and not 0 < p < math.inf:
-        raise DomainError("bergman norm requires finite p > 0")
-    for q, gamma in [line for line in lines if line is not None]:
-        if not 0 < q < math.inf:
+    area = [len(line) == 2 for line in lines]
+    for p, _, *mixed in lines:
+        if not mixed and not 0 < p < math.inf:
+            raise DomainError("bergman norm requires finite p > 0")
+        if mixed and not 0 < mixed[0] < math.inf:
             raise DomainError("mixed norm requires finite q > 0")
-        if not gamma >= 0:
+        if mixed and not mixed[1] >= 0:
             raise DomainError("mixed norm requires gamma >= 0")
-    norms = [_moment_norm(f, w) if a and p == 2 else None for a in area]
+    norms = [_moment_norm(f, line[1]) if a and line[0] == 2 else None
+             for line, a in zip(lines, area)]
     quad = [k for k, norm in enumerate(norms) if norm is None]
     if not quad:
         return norms
-    qs = [p if area[k] else lines[k][0] for k in quad]
-    profile = circle_profile(f, [(p, q) for q in qs])
+    cols = [(lines[k][0], lines[k][0] if area[k] else lines[k][2]) for k in quad]
+    profile = circle_profile(f, cols, rel_tol=circle_tol)
     vals, diag = weighted_radial_integral(
-        profile, [w] * len(quad), gamma=[0.0 if area[k] else lines[k][1] for k in quad],
-        include_r=[area[k] for k in quad])
-    for k, q, val, line_diag in zip(quad, qs, vals, diag["per_weight"]):
+        profile, [lines[k][1] for k in quad],
+        gamma=[0.0 if area[k] else lines[k][3] for k in quad],
+        include_r=[area[k] for k in quad], rel_tol=rel_tol)
+    for k, (_, q), val, line_diag in zip(quad, cols, vals, diag["per_weight"]):
         if area[k]:
             line_diag["convention"] = "area"
         if profile.capped:
@@ -615,17 +620,17 @@ def _moment_norm(f, w):
 def bergman_norm(f, p, w):
     """Bergman norm: (2 integral of M_p^p(r,f) omega(r) r dr)^(1/p).
 
-    The one-line ``radial_norms`` call: exact at p = 2, ``undetermined``
-    on a capped circle mean, as in ``mixed_norm`` and ``mixed_norm_sup``.
+    The one-line ``radial_norms`` call at its default tolerances: exact at
+    p = 2, ``undetermined`` at a node or level cap, as ``mixed_norm`` is.
     """
-    return radial_norms(f, p, w, [None])[0]
+    return radial_norms(f, [(p, w)])[0]
 
 
 def mixed_norm(f, p, q, w, gamma=0.0):
-    """Mixed norm (integral of M_p^q(r,f) (1-r)^gamma omega(r) dr)^(1/q),
-    the one-line ``radial_norms`` call (H(p,q,omega_gamma) convention).
+    """Mixed norm (integral of M_p^q(r,f) (1-r)^gamma omega(r) dr)^(1/q), the
+    one-line ``radial_norms`` call at its default tolerances (H(p,q,omega_gamma)).
     """
-    return radial_norms(f, p, w, [(q, gamma)])[0]
+    return radial_norms(f, [(p, w, q, gamma)])[0]
 
 
 _SUP_GRID = geometric_u_grid(40, 4)

@@ -182,11 +182,11 @@ def _cmd_norms(args):
     f = parse_function_spec(args.f)
     # A^p_omega has no p = inf member: that line names the gap (None)
     p_inf = args.p == math.inf
-    mixed_line = (args.q, args.gamma)
+    mixed_line = (args.p, w, args.q, args.gamma)
     if p_inf:
-        bergman, mixed = None, *radial_norms(f, args.p, w, [mixed_line])
+        bergman, mixed = None, *radial_norms(f, [mixed_line])
     else:
-        bergman, mixed = radial_norms(f, args.p, w, [None, mixed_line])
+        bergman, mixed = radial_norms(f, [(args.p, w), mixed_line])
     rows = [("bergman_p%g" % args.p, bergman),
             ("mixed_p%g_q%g_gamma%g" % (args.p, args.q, args.gamma), mixed),
             ("mixed_sup_p%g" % args.p, mixed_norm_sup(f, args.p, w))]

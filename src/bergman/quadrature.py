@@ -30,10 +30,10 @@ panel: :func:`integrate_geometric` (chunks of ``_LEVELS_PER_CHUNK``
 levels; ``np.ldexp`` edges equal ``u_hi * 0.5**k`` and a row of 16 terms
 sums in the pairwise order of a 1-D sum, so its values are those of a
 per-panel loop), :func:`integrate_geometric_vec`, ``weighted_radial_integral``
-(chunks of 8 levels, on the ``analytic.circle_profile`` rows of
-``analytic.radial_norms``, which serves ``bergman_norm``, ``mixed_norm``
-and the Bergman and mixed lines of ``bergman norms`` in one call, and of
-the TH-DEC, COR-HILB and INEQ-MINFTY scenarios), ``hilbert_norm2_profile``
+(chunks of 8 levels, on the ``analytic.circle_profile`` rows of its one
+caller ``analytic.radial_norms``, which serves ``bergman_norm``,
+``mixed_norm``, ``bergman norms`` and every radial norm of the TH-DEC,
+COR-HILB and INEQ-MINFTY scenarios), ``hilbert_norm2_profile``
 (60 levels per span, one kernel table on the union of a batch of spans'
 nodes) and ``muckenhoupt`` (panels between grid points, then one
 cumulative sum per factor).
@@ -61,8 +61,9 @@ _REL_TOL, _MAX_LEVELS, _VEC_MAX_LEVELS = 1e-12, 400, 200
 #: dyadic levels per integrand call in integrate_geometric
 _LEVELS_PER_CHUNK = 32
 
-#: agreement with the bisected estimate, and depth cap, in adaptive_panel
-_PANEL_TOL, _MAX_DEPTH = 1e-13, 30
+#: agreement with the bisected estimate, depth cap, and the sub-panels one
+#: call may evaluate (osc weight quantities take up to ~5000) in adaptive_panel
+_PANEL_TOL, _MAX_DEPTH, _MAX_SUBPANELS = 1e-13, 30, 2 ** 14
 
 
 def gauss_panel(f, a, b):
@@ -102,13 +103,19 @@ def adaptive_panel(f, a, b):
     Only needed for integrands with structure below the panel scale
     (e.g. trigonometric oscillation of the `osc` weight family); for the
     power-law panels of the geometric scheme the first estimate already
-    agrees with its refinement and no recursion happens.
+    agrees with its refinement and no recursion happens.  Past
+    ``_MAX_SUBPANELS`` sub-panels it raises :class:`QuadratureDivergence`
+    (no exponent) rather than bisect an unresolved integrand for minutes.
     """
     whole = gauss_panel(f, a, b)
     stack = [(a, b, whole, 0)]
-    total = 0.0
+    total, evaluated = 0.0, 0
     while stack:
         lo, hi, est, depth = stack.pop()
+        evaluated += 2
+        if evaluated > _MAX_SUBPANELS:
+            raise QuadratureDivergence("adaptive panel [%g, %g] unresolved after %d sub-panels"
+                                       % (a, b, _MAX_SUBPANELS))
         mid = 0.5 * (lo + hi)
         left = gauss_panel(f, lo, mid)
         right = gauss_panel(f, mid, hi)

@@ -6,7 +6,9 @@ by independent code paths and their ratio is recorded.  A scenario passes
 ("Comparable") when the spread max/min of the finite ratios stays inside a
 configured window; scenarios probing divergent situations pass when the
 divergence is detected ("Divergence-consistent"); anything else is a
-"Violation" naming the offending case.
+"Violation" naming the offending case.  A case with a NaN side (an
+``undetermined`` norm, e.g. from ``analytic.radial_norms`` at a node or
+level cap) is itself a violation, so no truncation passes unseen.
 
 A scenario is registered in ``_scenarios`` as id -> (function, defaults).
 ``run_scenario`` owns the protocol they share: it times the run, rejects
@@ -18,20 +20,20 @@ Reports are deterministic byte-for-byte given identical configuration and
 seeds.
 """
 
+import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from . import decomposition as dec
 from . import operators as ops
-from .analytic import (AnalyticFunction, binomial_kernel, circle_profile,
-                       dirichlet_norm, lambda_norm, log_kernel, mixed_norm,
-                       mixed_norm_sup, bergman_norm, random_function,
-                       weighted_radial_integral)
+from .analytic import (AnalyticFunction, binomial_kernel, dirichlet_norm,
+                       lambda_norm, log_kernel, mixed_norm, mixed_norm_sup,
+                       bergman_norm, radial_norms, random_function)
 from .errors import DivergentMassError, DomainError
 from .quadrature import geometric_u_grid, integrate_geometric
 from .weights import (classify, const_weight, derived_weight, distortion,
@@ -65,10 +67,13 @@ def _config(config, defaults):
 
 
 def _case(case_id, params, lhs, rhs, verdict="ok"):
+    lhs, rhs = float(lhs), float(rhs)
+    if math.isnan(lhs) or math.isnan(rhs):
+        verdict = "violation"           # an undetermined norm decides nothing
     ratio = lhs / rhs if (math.isfinite(lhs) and math.isfinite(rhs) and rhs != 0) \
         else math.nan
-    return {"case_id": case_id, "params": params, "lhs": float(lhs),
-            "rhs": float(rhs), "ratio": float(ratio), "verdict": verdict}
+    return {"case_id": case_id, "params": params, "lhs": lhs, "rhs": rhs,
+            "ratio": ratio, "verdict": verdict}
 
 
 def ratio_statistics(values):
@@ -112,30 +117,22 @@ def _round12(x):
 
 
 def write_report(report, path, fmt="csv"):
-    """Serialize a report deterministically (sorted keys, %.12e floats)."""
-    if fmt == "csv":
-        lines = ["scenario,case_id,param_json,lhs,rhs,ratio,verdict"]
+    """Serialize a report deterministically (sorted keys, %.12e floats).
+    CSV rows go through ``csv``, which quotes the commas of ``param_json``."""
+    if fmt not in ("csv", "json"):
+        raise DomainError("format must be csv or json")
+    with open(path, "w", newline="") as fh:
+        if fmt == "json":          # every field but the runtime
+            obj = _round12({k: v for k, v in asdict(report).items() if k != "runtime"})
+            fh.write(json.dumps(obj, sort_keys=True, indent=1, allow_nan=True) + "\n")
+            return path
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow("scenario,case_id,param_json,lhs,rhs,ratio,verdict".split(","))
         for c in report.cases:
             pj = json.dumps(c["params"], sort_keys=True,
                             separators=(",", ":")).replace('"', "'")
-            lines.append("%s,%s,%s,%.12e,%.12e,%.12e,%s" % (
-                report.scenario, c["case_id"], pj,
-                c["lhs"], c["rhs"], c["ratio"], c["verdict"]))
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        obj = {"scenario": report.scenario,
-               "cases": [_round12(c) for c in report.cases],
-               "stats": _round12(list(report.stats)),
-               "verdict": report.verdict,
-               "window": _round12(report.window),
-               "seed": report.seed,
-               "diagnostics": _round12(report.diagnostics)}
-        text = json.dumps(obj, sort_keys=True, indent=1,
-                          allow_nan=True) + "\n"
-    else:
-        raise DomainError("format must be csv or json")
-    with open(path, "w") as fh:
-        fh.write(text)
+            rows.writerow([report.scenario, c["case_id"], pj,
+                           *("%.12e" % c[k] for k in ("lhs", "rhs", "ratio")), c["verdict"]])
     return path
 
 
@@ -202,18 +199,16 @@ def _th_dec(cfg, rep, window):
     weights = {wname: named_weight(wname) for wname in cfg["weights"]}
 
     # The mixed norms dominate the cost, and the geometric quadrature nodes
-    # are identical for every weight and pair, so one radial integral per
-    # function runs over all (pair, weight) columns and samples each circle
-    # once for every p.
+    # are identical for every weight and pair, so one radial pass per
+    # function serves all (pair, weight) lines and samples each circle once
+    # for every p.
     pairs = cfg["pairs"]
-    cols = [pair for pair in pairs for _ in weights]
-    mixed_vals = {}
+    lines = [(wname, p, q) for p, q in pairs for wname in weights]
+    mixed = {}
     for label, f in fns:
-        vals, _ = weighted_radial_integral(circle_profile(f, cols, rel_tol=1e-6),
-                                           list(weights.values()) * len(pairs), rel_tol=1e-8)
-        for (p, q), row in zip(pairs, np.reshape(vals, (len(pairs), -1))):
-            for wname, val in zip(weights, row):
-                mixed_vals[(wname, p, q, label)] = float(val ** (1.0 / q))
+        norms = radial_norms(f, [(p, weights[wname], q, 0.0) for wname, p, q in lines],
+                             circle_tol=1e-6, rel_tol=1e-8)
+        mixed.update({(*line, label): norm for line, norm in zip(lines, norms)})
 
     cell_spreads = {}
     for wname, w in weights.items():
@@ -222,22 +217,19 @@ def _th_dec(cfg, rep, window):
         dec_vals = {(a, label): dec.decomposition_norm(f, *zip(*pairs), parts[a])
                     for a in cfg["alphas"] for label, f in fns}
         for i, (p, q) in enumerate(pairs):
-            mixed = {label: mixed_vals[(wname, p, q, label)] for label, f in fns}
             for a in cfg["alphas"]:
-                ratios = []
-                for label, f in fns:
-                    lhs = float(dec_vals[(a, label)][i])
-                    rhs = mixed[label]
-                    cid = "%s|p%g-q%g|a%g|%s" % (wname, p, q, a, label)
-                    rep.cases.append(_case(cid, {"weight": wname, "p": p,
-                                                 "q": q, "alpha": a,
-                                                 "f": label}, lhs, rhs))
-                    if rhs > 0:
-                        ratios.append(lhs / rhs)
-                cell_spreads["%s|p%g-q%g|a%g" % (wname, p, q, a)] = \
-                    ratio_statistics(ratios)[2]
+                cell = "%s|p%g-q%g|a%g" % (wname, p, q, a)
+                cases = [_case(cell + "|" + label, {"weight": wname, "p": p, "q": q, "alpha": a,
+                                                    "f": label},
+                               dec_vals[(a, label)][i], mixed[(wname, p, q, label)])
+                         for label, _ in fns]
+                rep.cases.extend(cases)
+                # an undetermined side fails its case; the spread is over the rest
+                ratios = [c["ratio"] for c in cases if math.isfinite(c["ratio"])]
+                if ratios:
+                    cell_spreads[cell] = ratio_statistics(ratios)[2]
     rep.diagnostics["cell_spreads"] = cell_spreads
-    rep.diagnostics["max_cell_spread"] = max(cell_spreads.values())
+    rep.diagnostics["max_cell_spread"] = max(cell_spreads.values(), default=math.nan)
     if rep.diagnostics["max_cell_spread"] > window:
         rep.cases.append(_case("cell-window", {}, rep.diagnostics["max_cell_spread"],
                                window, verdict="violation"))
@@ -435,28 +427,16 @@ def _hilbert_norm_general(phi, edge, p, w):
     return float(bergman_norm(AnalyticFunction(mu), p, w))
 
 
-def _areas(f, cols, mean_tol):
-    """2 x integral of M_p^p(r, f) w(r) r dr for each (p, w) in ``cols`` (p != 2).
-
-    One radial integral: each chunk samples the circles once for every p.
-    """
-    profile = circle_profile(f, [(p, p) for p, _ in cols], rel_tol=mean_tol)
-    return 2.0 * weighted_radial_integral(profile, [w for _, w in cols], include_r=True,
-                                          rel_tol=1e-7)[0] if cols else []
-
-
 def _cor_hilb(cfg, rep, window):
     w = named_weight(cfg["weight"])
 
     # relaxed-tolerance p-norms: the spread window is orders of magnitude
     # wider than six-digit norms, and the images carry thousands of
     # coefficients, so chasing 1e-11 here would dominate the runtime
-    cols = [(p, w) for p in cfg["ps"] if p != 2]
+    lines = [(p, w) for p in cfg["ps"]]
 
     def pnorms(f):
-        areas = iter(_areas(f, cols, 1e-6))
-        return [float(bergman_norm(f, p, w)) if p == 2
-                else float(next(areas) ** (1.0 / p)) for p in cfg["ps"]]
+        return [float(norm) for norm in radial_norms(f, lines, circle_tol=1e-6, rel_tol=1e-7)]
 
     norms = []
     for i in range(cfg["count"]):
@@ -627,24 +607,19 @@ def _ineq_minfty(cfg, rep, window):
     pairs = [(wname, named_weight(wname)) for wname in cfg["weights"]]
     bases = [w for _, w in pairs]
     # the quadrature panels coincide across weights and p, so each side is
-    # one radial integral per function over all its (weight, p) columns,
-    # and the circle maxima / p-means are computed once per node block
+    # one radial pass per function over all its (weight, p) lines, and the
+    # circle maxima / p-means are computed once per node block
     cols = [(i, wname, p) for i, (wname, _) in enumerate(pairs) for p in cfg["ps"]]
     hats = [hat_weight(w) for w in bases]
-    area_keys = [(p, i) for p in cfg["ps"] if p != 2 for i in range(len(bases))]
     for label, f in fns:
         # grid maxima are certified lower bounds, so a loose
         # tolerance keeps the one-sided check conservative
-        lhs_vals, _ = weighted_radial_integral(
-            circle_profile(f, [(math.inf, p) for _, _, p in cols], rel_tol=1e-3),
-            [hats[i] for i, _, _ in cols], rel_tol=1e-8)
-        areas = dict(zip(area_keys, _areas(
-            f, [(p, bases[i]) for p, i in area_keys], 1e-5)))
-        for (i, wname, p), lhs in zip(cols, lhs_vals):
-            if p == 2:
-                rhs = half_pi * float(bergman_norm(f, p, bases[i])) ** p
-            else:
-                rhs = half_pi * areas[p, i]
+        lhs_norms = radial_norms(f, [(math.inf, hats[i], p, 0.0) for i, _, p in cols],
+                                 circle_tol=1e-3, rel_tol=1e-8)
+        rhs_norms = radial_norms(f, [(p, bases[i]) for i, _, p in cols],
+                                 circle_tol=1e-5, rel_tol=1e-7)
+        for (i, wname, p), lhs, rhs in zip(cols, lhs_norms, rhs_norms):
+            lhs, rhs = float(lhs) ** p, half_pi * float(rhs) ** p
             ok = lhs <= rhs * (1.0 + 1e-9)
             worst = max(worst, lhs / rhs)
             rep.cases.append(_case("%s|p%g|%s" % (wname, p, label),

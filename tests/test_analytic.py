@@ -622,12 +622,12 @@ def test_bergman_norm_monomial_beta_oracle(alpha, p):
 @pytest.mark.parametrize("wname", ["w_std_m05", "w_logpow2"])
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 @pytest.mark.parametrize("p", [1.5, 3.0])
-def test_radial_norms_lines_match_separate_integrals(request, wname, gamma, p):
+def test_radial_norms_lines_match_separate_integrals(request, wname, gamma, p, w_std_1):
     # one profile and one integral for both lines; each line keeps the bits
     # of its own profile and integral, and of the one-line calls
     w, q = request.getfixturevalue(wname), 2.5
     f = AnalyticFunction([1.0, 0.5 - 0.25j, -0.75j, 0.3, 0.0, 0.2 + 0.1j])
-    bergman, mixed = radial_norms(f, p, w, [None, (q, gamma)])
+    bergman, mixed = radial_norms(f, [(p, w), (p, w, q, gamma)])
     area, area_diag = weighted_radial_integral(circle_profile(f, [(p, p)]), w, include_r=True)
     line, line_diag = weighted_radial_integral(circle_profile(f, [(p, q)]), w, gamma=gamma)
     assert bergman.value == (2.0 * area) ** (1.0 / p) == bergman_norm(f, p, w).value
@@ -637,11 +637,21 @@ def test_radial_norms_lines_match_separate_integrals(request, wname, gamma, p):
     # the flat rule closes the gamma = 0 lines; a mixed line with gamma > 0 decays
     assert bergman.diagnostics["stop"] == "flat"
     assert mixed.diagnostics["stop"] == ("flat" if gamma == 0 else "decay")
+    # one call mixing p values (p = 2 and inf too), weights and both kinds of
+    # line, at the defaults and at scenario tolerances: every line is its
+    # one-line call, bit for bit
+    lines = [(p, w), (3.0 - p / 2, w_std_1), (2.0, w), (p, w_std_1, q, gamma),
+             (math.inf, w, 2.0, gamma), (2.0, w_std_1, 1.5, 0.0), (p, w, q, gamma)]
+    for tols in ({}, {"circle_tol": 1e-6, "rel_tol": 1e-8}):
+        together = radial_norms(f, lines, **tols)
+        for line, norm in zip(lines, together):
+            [one] = radial_norms(f, [line], **tols)
+            assert norm.value == one.value and norm.diagnostics == one.diagnostics, line
 
 
 def test_radial_norms_p2_bergman_line_is_the_moment_sum(w_std_m05):
     f = AnalyticFunction([1.0, 2.0, -0.5j])
-    bergman, mixed = radial_norms(f, 2.0, w_std_m05, [None, (2.0, 0.0)])
+    bergman, mixed = radial_norms(f, [(2.0, w_std_m05), (2.0, w_std_m05, 2.0, 0.0)])
     assert bergman.method == "closed-form" and mixed.method == "quadrature"
     assert bergman.value == math.sqrt(2.0 * sum(abs(c) ** 2 * w_std_m05.moment(k)
                                                 for k, c in enumerate(f.coefficients)))

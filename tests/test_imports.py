@@ -1,7 +1,8 @@
-"""Tooling: no module in src/ or tests/ imports a name it never uses, and
-no function or class defined in src/bergman goes unreferenced.
+"""Tooling: no module in src/ or tests/ imports a name it never uses, no
+function or class defined in src/bergman goes unreferenced, and every name
+the per-layer tracer of perfbench/ wraps still exists.
 
-Only the stdlib ``ast`` module is used.  A name counts as used when it
+The scans use only the stdlib ``ast`` module.  A name counts as used when it
 appears anywhere in the module as a plain name (``np`` in ``np.sum``
 included); names listed in the module's ``__all__`` are re-exports and
 count as used too.  A definition counts as referenced when its name
@@ -10,6 +11,8 @@ perfbench/; dunder methods are called by the language and are exempt.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -96,3 +99,22 @@ def test_no_dead_definitions():
                  for path in defined
                  for line, name in _dead_definitions(path.read_text(), refs)]
     assert offenders == []
+
+
+def test_traced_names_resolve_in_bergman():
+    # perfbench/layertrace.py wraps each SPANS name by attribute lookup, so a
+    # deleted or renamed function would stop a traced benchmark run with
+    # AttributeError; load the tracer as it is and resolve every name
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", _ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = []
+    for span, _, _ in layertrace.SPANS:
+        module, *path = span.split(".")
+        owner = importlib.import_module("bergman." + module)
+        for attr in path:
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(span)
+    assert layertrace.SPANS and missing == []

@@ -1,6 +1,7 @@
 """Geometric-panel quadrature against closed forms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from bergman.operators import lp_hat_norm
 from bergman.quadrature import (_WEIGHTS, adaptive_panel, gauss_panel, gauss_panels,
                                 geometric_u_grid, integrate_geometric,
                                 integrate_geometric_vec)
-from bergman.weights import (logpow_weight, muckenhoupt, osc_weight, pow_weight,
-                             std_weight)
+from bergman.weights import (carleson_mass, logpow_weight, muckenhoupt, osc_weight,
+                             pow_weight, std_weight, u_p_weight)
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.0, 3.0])
@@ -151,6 +152,20 @@ def test_integrate_geometric_adaptive_matches_panel_loop(u_lo):
     tail = osc_weight().tail_u
     assert integrate_geometric(tail, u_lo, 1.0, adaptive=True) == \
         _panel_by_panel(tail, u_lo, 1.0, adaptive=True)[0]
+
+
+@pytest.mark.parametrize("call", [lambda: carleson_mass(osc_weight(), 0.9),
+                                  lambda: u_p_weight(osc_weight(), 2.0),
+                                  lambda: osc_weight().moment_plain(0.5)],
+                         ids=["carleson-mass", "u-p-weight", "moment-plain"])
+def test_unresolved_adaptive_panels_raise_within_seconds(call):
+    # each of these bisected the oscillating osc density for minutes; the
+    # sub-panel budget of one adaptive_panel call turns that into an error
+    t0 = time.monotonic()
+    with pytest.raises(QuadratureDivergence, match="sub-panels") as err:
+        call()
+    assert err.value.exponent is None
+    assert time.monotonic() - t0 < 20.0
 
 
 def test_integrate_geometric_vec_columns():

@@ -1,11 +1,12 @@
 """Scenario runner: reports, statistics, determinism plumbing."""
 
+import csv
 import json
 import math
 
 import pytest
 
-from bergman import verify
+from bergman import analytic, verify
 from bergman.errors import DomainError
 from bergman.verify import (corpus_functions, default_windows, named_weight,
                             ratio_statistics, run_scenario, scenario_ids,
@@ -162,6 +163,29 @@ def test_th_gorro_const_divergence_consistent():
     assert rep.diagnostics["muckenhoupt"] == "divergent"
 
 
+#: small configs of the scenarios whose sides are radial norms
+_RADIAL = {"COR-HILB": {"count": 2}, "TH-DEC": {"count": 10, "degree": 64},
+           "INEQ-MINFTY": {"count": 10, "degree": 128}}
+
+
+@pytest.mark.parametrize("sid, cap, value", [
+    ("COR-HILB", None, None), ("TH-DEC", None, None), ("INEQ-MINFTY", None, None),
+    ("COR-HILB", "_N_CAP_LOG2", 9), ("TH-DEC", "_N_CAP_LOG2", 7),
+    ("INEQ-MINFTY", "_N_CAP_LOG2", 7), ("TH-DEC", "_MAX_LEVEL", 16)])
+def test_radial_scenarios_fail_exactly_their_undetermined_cases(monkeypatch, sid, cap, value):
+    # uncapped, every case is ok; with the circle-mean node cap or the radial
+    # level cap forced down, the norms that hit it are undetermined, and each
+    # case with such a side is a violation, named by its case id
+    if cap is not None:
+        monkeypatch.setattr(analytic, cap, value)
+    rep = run_scenario(sid, _RADIAL[sid])
+    undetermined = [c["case_id"] for c in rep.cases
+                    if math.isnan(c["lhs"]) or math.isnan(c["rhs"])]
+    assert [c["case_id"] for c in rep.cases if c["verdict"] == "violation"] == undetermined
+    assert rep.verdict == ("Comparable" if cap is None else "Violation")
+    assert bool(undetermined) is (cap is not None)
+
+
 # --------------------------------------------------------------------------
 # report serialization
 
@@ -174,6 +198,16 @@ def test_write_report_csv_and_json(tmp_path):
     lines = p_csv.read_text().splitlines()
     assert lines[0] == "scenario,case_id,param_json,lhs,rhs,ratio,verdict"
     assert len(lines) == 1 + len(rep.cases)
+    # param_json holds commas (a list of constants): quoted, every row still
+    # parses to the header's 7 fields, with its numbers as formatted
+    with open(p_csv, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert any("," in row[2] for row in rows)
+    for row, c in zip(rows, rep.cases):
+        assert len(row) == 7
+        assert json.loads(row[2].replace("'", '"')) == c["params"]
+        assert row[3:] == ["%.12e" % c["lhs"], "%.12e" % c["rhs"], "%.12e" % c["ratio"],
+                           c["verdict"]]
     obj = json.loads(p_json.read_text())
     assert obj["scenario"] == "PROP-LIP"
     assert len(obj["cases"]) == len(rep.cases)
