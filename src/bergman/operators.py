@@ -13,16 +13,17 @@ and 1/(n+k+1)^2, run by FFT when large (``_hankel``).  Profiles on the
 radius are callables of u = 1 - t, which stays exact where t rounds to 1.
 The A^2_omega norm of H(phi) for a profile phi (``hilbert_norm2_profile``)
 is a quadratic form with the closed Bergman kernel, which keeps every
-coefficient of H(phi); a batch of spans of phi reads one kernel table on
-the union of their nodes, so the dyadic sweep r = 1 - 2^-j of the extremal
-profiles evaluates the kernel once.
+coefficient of H(phi); a batch of spans of phi evaluates the kernel once
+on the union of their nodes, one block of rows at a time, so the dyadic
+sweep r = 1 - 2^-j of the extremal profiles costs about its widest span.
 
 Well-definedness of H_g on the source space A^p_omega is governed by the
 integrability of tail(r)^(-1/(p-1)) (checked once per OperatorSetting);
 operator norms are estimated from below with the two test-function
 families of the norm-equivalence theorems (Bergman kernels normalized on
 Carleson boxes for q >= p, and the Hilbert transform of a mixed-mean
-profile for q < p).
+profile for q < p).  One call bounds a list of symbols: each kernel test
+function and its source norm are built once for all of them.
 The Hilbert-Schmidt sum over the monomial basis of A^2_omega decides
 membership of H_g in the Schatten class S_2 against the Dirichlet norm of
 the symbol.
@@ -283,12 +284,36 @@ def _bergman2_kernel(w):
             near = x > 0.5
             v = np.empty_like(omx)
             v[~near] = hyp2f1(1.0, 1.0, alpha + 2.0, x[~near])
-            v[near] = (ca * hyp2f1(1.0, 1.0, 1.0 - alpha, omx[near])
-                       + cb * omx[near] ** alpha / x[near] ** (alpha + 1.0))
-            return k0 * v
+            # in place, as few block-sized arrays as hilbert_norm2_profile's
+            # memory allows, in the order of ca*h + cb*o^alpha/x^(alpha+1)
+            o, x = omx[near], x[near]
+            h = hyp2f1(1.0, 1.0, 1.0 - alpha, o)
+            h *= ca
+            o **= alpha
+            o *= cb
+            x **= alpha + 1.0
+            o /= x
+            h += o
+            v[near] = h
+            v *= k0
+            return v
         return kernel
     raise DomainError("closed Bergman kernel only available for const/std "
                       "weights (got %s)" % w.family)
+
+
+def _span_rows(phi, t_min, t_max):
+    """The union u of the spans' panel nodes in 1 - t, and row k: span k's
+    quadrature weights on u times phi(u)."""
+    spans = [gauss_panels(1.0 - lo, np.arange(_PROFILE_LEVELS), 1.0 - hi)
+             for lo, hi in zip(t_min, t_max)]
+    nodes = [n.ravel() for n, _ in spans]
+    u, col = np.unique(np.concatenate([np.empty(0), *nodes]), return_inverse=True)
+    c = np.zeros((len(spans), len(u)))
+    c[np.repeat(np.arange(len(spans)), [len(n) for n in nodes]), col] = np.concatenate(
+        [np.empty(0), *[(h[:, None] * _GAUSS_WEIGHTS).ravel() for _, h in spans]])
+    c *= np.asarray(phi(u), dtype=float)
+    return u, c
 
 
 def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0):
@@ -301,36 +326,29 @@ def hilbert_norm2_profile(phi, w, t_min=0.0, t_max=1.0):
     the mass).  Geometric panels in 1 - t on both axes.
 
     Scalar ``t_min`` and ``t_max`` give a float; arrays, broadcast
-    together, give one norm per span [t_min, t_max).  All spans read one
-    kernel table: K is evaluated once on the union of their nodes (upper
-    triangle, one panel of rows at a time, mirrored) and each span is a
-    quadratic form on it, with phi evaluated once on the union.  Spans at
+    together, give one norm per span [t_min, t_max).  K is evaluated once
+    on the union of all spans' nodes, one block of rows of the upper
+    triangle at a time, and each span's quadratic form takes the block's
+    diagonal square once and the columns to its right twice; phi is
+    evaluated once on the union.  No len(u)^2 array is held.  Spans at
     t_min = 1 - 2^-j share dyadic levels, so a sweep over j costs about its
     widest span.  Spans that share no dyadic levels get no sharing, and the
-    table still covers their cross pairs: pass those in separate calls.
+    blocks still cover their cross pairs: pass those in separate calls.
     """
     kernel = _bergman2_kernel(w)
     t_min, t_max = np.broadcast_arrays(np.asarray(t_min, dtype=float),
                                        np.asarray(t_max, dtype=float))
-    spans = [gauss_panels(1.0 - lo, np.arange(_PROFILE_LEVELS), 1.0 - hi)
-             for lo, hi in zip(t_min.ravel(), t_max.ravel())]
-    nodes = [n.ravel() for n, _ in spans]
-    u, col = np.unique(np.concatenate([np.empty(0), *nodes]), return_inverse=True)
-    # row k: span k's quadrature weights on the union's nodes, times phi
-    c = np.zeros((len(spans), len(u)))
-    c[np.repeat(np.arange(len(spans)), [len(n) for n in nodes]), col] = np.concatenate(
-        [np.empty(0), *[(h[:, None] * _GAUSS_WEIGHTS).ravel() for _, h in spans]])
-    c *= np.asarray(phi(u), dtype=float)
-    table = np.empty((len(u), len(u)))
+    u, c = _span_rows(phi, t_min.ravel(), t_max.ravel())
+    norms2 = np.zeros(len(c))
     step = len(_GAUSS_WEIGHTS)
     for a in range(0, len(u), step):
         # 1 - ts for t = 1-u, s = 1-v: u + v - uv, exact even when ts rounds
-        # to 1 and symmetric in u, v, so the mirror is exact
+        # to 1 and symmetric in u, v, so a row block stands for its mirror
         ub = u[a:a + step, None]
-        block = kernel(ub + u[a:] - ub * u[a:])
-        table[a:a + step, a:] = block
-        table[a:, a:a + step] = block.T
-    norms = np.sqrt(np.maximum(np.einsum("kn,nm,km->k", c, table, c), 0.0))
+        rows = c[:, a:a + step] @ kernel(ub + u[a:] - ub * u[a:])
+        rows[:, step:] *= 2.0
+        norms2 += np.einsum("kn,kn->k", rows, c[:, a:])
+    norms = np.sqrt(np.maximum(norms2, 0.0))
     return float(norms[0]) if t_min.ndim == 0 else norms.reshape(t_min.shape)
 
 
@@ -381,7 +399,9 @@ def test_function_Q(g, rho, setting, k_max=1024):
     g_rho'(z) = g'(rho z), and Q_rho(z) = integral of phi_rho(t)/(1-tz) dt,
     returned as (phi callable of u = 1 - t, Q as AnalyticFunction).  Q_rho
     dominates a constant multiple of phi_rho on the radius and its Bergman
-    norm is comparable to the hat-norm of phi_rho.
+    norm is comparable to the hat-norm of phi_rho.  ``phi.capped`` is true
+    when a circle mean behind Q's moments hit the node cap, which leaves Q
+    undetermined.
     """
     p, q = setting.p, setting.q
     if not q < p:
@@ -392,8 +412,9 @@ def test_function_Q(g, rho, setting, k_max=1024):
     g_rho = AnalyticFunction(gp.coefficients * rho ** np.arange(len(gp.coefficients)))
     e = q / (p - q)
     if g_rho.degree == 0 and g_rho.coefficients[0] == 0:
-        return (lambda u: np.zeros_like(np.asarray(u, dtype=float))), \
-            AnalyticFunction([0.0])
+        phi = lambda u: np.zeros_like(np.asarray(u, dtype=float))
+        phi.capped = False
+        return phi, AnalyticFunction([0.0])
 
     means = circle_profile(g_rho, [(q, 1.0)])
 
@@ -402,11 +423,21 @@ def test_function_Q(g, rho, setting, k_max=1024):
         return (means(u)[0] * u ** (1.0 - 1.0 / q)) ** e
 
     mu = moments_profile(phi, k_max)
+    phi.capped = means.capped
     return phi, AnalyticFunction(mu)
 
 
 # ---------------------------------------------------------------------------
 # operator-norm estimates
+
+def _ratio(num, den):
+    """num/den of two norms; NaN when either is not finite (an undetermined
+    test function decides nothing), 0 for a vanishing test function."""
+    num, den = float(num), float(den)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return math.nan
+    return num / den if den > 0 else 0.0
+
 
 def operator_norm_lower(g, setting, part, n_max=6):
     """Lower bound for ||H_g|| via the theorem-side test families.
@@ -415,30 +446,43 @@ def operator_norm_lower(g, setting, part, n_max=6):
     family f_(M_n) at gamma = p + 2, n <= n_max (regime q >= p) or the
     Q_rho family on rho in ``_Q_RHOS`` (regime q < p).  Only the kernel
     family reads the partition ``part``, which may be None when q < p.
+
+    ``g`` is one symbol (the bound is a float) or a sequence of symbols
+    (a list of bounds, each equal to its one-symbol call).  Each f_(M_n)
+    and its source norm are built once per call.  A symbol whose g' is a
+    monomial takes only the first rho: exactly then is every g'(rho z) a
+    scalar multiple of one function, and both norms are homogeneous of
+    degree 1 in Q, so every rho gives the same ratio.  A bound is NaN once
+    one of its test functions has a norm that is not finite, or a Q whose
+    circle means capped.
     """
     setting.require_well_defined()
-    if not np.any(g.coefficients[1:]):
-        return 0.0
+    gs = [g] if isinstance(g, AnalyticFunction) else list(g)
     w = setting.weight
-    k_max = max(g.degree - 1, 0)
-    best = 0.0
-    if setting.q >= setting.p:
+    ratios = [[] for _ in gs]
+    live = [i for i, gi in enumerate(gs) if np.any(gi.coefficients[1:])]
+
+    def image_norm(gi, f):
+        img = apply_generalized(gi, f, max(gi.degree - 1, 0), setting)
+        return bergman_norm(img, setting.q, w)
+
+    if setting.q >= setting.p and live:
         for n in range(min(n_max + 1, len(part.marks))):
             f = test_function_fN(setting, setting.p + 2.0, n, part)
-            img = apply_generalized(g, f, k_max, setting)
-            num = float(bergman_norm(img, setting.q, w))
-            den = float(bergman_norm(f, setting.p, w))
-            if den > 0:
-                best = max(best, num / den)
-    else:
-        for rho in _Q_RHOS:
-            phi, Q = test_function_Q(g, rho, setting)
-            img = apply_generalized(g, Q, k_max, setting)
-            num = float(bergman_norm(img, setting.q, w))
-            den = float(bergman_norm(Q, setting.p, w))
-            if den > 0:
-                best = max(best, num / den)
-    return best
+            den = bergman_norm(f, setting.p, w)
+            for i in live:
+                ratios[i].append(_ratio(image_norm(gs[i], f), den))
+    elif setting.q < setting.p:
+        for i in live:
+            monomial = np.count_nonzero(gs[i].derivative().coefficients) == 1
+            for rho in _Q_RHOS[:1] if monomial else _Q_RHOS:
+                phi, Q = test_function_Q(gs[i], rho, setting)
+                ratios[i].append(math.nan if phi.capped else
+                                 _ratio(image_norm(gs[i], Q),
+                                        bergman_norm(Q, setting.p, w)))
+    bounds = [math.nan if any(map(math.isnan, rs)) else max(rs, default=0.0)
+              for rs in ratios]
+    return bounds[0] if isinstance(g, AnalyticFunction) else bounds
 
 
 # ---------------------------------------------------------------------------

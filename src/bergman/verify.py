@@ -462,10 +462,10 @@ def _th_main_pq(cfg, rep, window):
     setting = ops.OperatorSetting(p, q, w)
     part = dec.partition(w, 1.0, 2 ** 22)
     eta = 1.0 / p - 1.0 / q
+    gs = [_SYMBOLS[name]() for name in cfg["symbols"]]
+    lhss = ops.operator_norm_lower(gs, setting, part, n_max=cfg["n_max"])
     pairs = []
-    for name in cfg["symbols"]:
-        g = _SYMBOLS[name]()
-        lhs = ops.operator_norm_lower(g, setting, part, n_max=cfg["n_max"])
+    for name, g, lhs in zip(cfg["symbols"], gs, lhss):
         rhs = float(lambda_norm(g, q, 1.0 / p, eta, w))
         pairs.append((name, lhs, rhs))
         rep.cases.append(_case(name, {"symbol": name}, lhs, rhs))
@@ -494,9 +494,9 @@ def _th_main_qp(cfg, rep, window):
     hw = hat_weight(w)
     # only the q >= p test family reads the partition
     part = dec.partition(w, 1.0, 2 ** 22) if q >= p else None
-    for name in cfg["symbols"]:
-        g = _SYMBOLS[name]()
-        lhs = ops.operator_norm_lower(g, setting, part)
+    gs = [_SYMBOLS[name]() for name in cfg["symbols"]]
+    lhss = ops.operator_norm_lower(gs, setting, part)
+    for name, g, lhs in zip(cfg["symbols"], gs, lhss):
         rhs = float(mixed_norm(g.derivative(), q, s, hw,
                                gamma=s * (1.0 - 1.0 / q)))
         rep.cases.append(_case(name, {"symbol": name, "s": s}, lhs, rhs))

@@ -202,11 +202,18 @@ class RadialWeight:
         return self.scale * v
 
     def moments_upto(self, n_max):
-        """Vectorized omega_0..omega_n_max (closed form when available)."""
-        ns = np.arange(n_max + 1)
+        """Vectorized omega_0..omega_n_max (closed form when available).
+
+        The longest closed-form table computed so far stays in the moment
+        cache and a shorter call reads its head: the closed form acts
+        element by element, so each value keeps its bits.
+        """
         if self._moment_closed is not None:
-            return self.scale * self._moment_closed(ns)
-        return np.array([self.moment(int(n)) for n in ns])
+            table = self._moment_cache.get("upto")
+            if table is None or len(table) <= n_max:
+                table = self._moment_cache["upto"] = self._moment_closed(np.arange(n_max + 1))
+            return self.scale * table[:n_max + 1]
+        return np.array([self.moment(n) for n in range(n_max + 1)])
 
     def _moment_quadrature(self, x):
         if self._tail_u is not None and x >= 1.0:
@@ -331,12 +338,14 @@ def std_weight(alpha):
         # is used instead (three terms give full double precision there).
         u = np.asarray(u, dtype=float)
         x = u * (2.0 - u)
+        shallow = x >= 1e-6
         with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            exact = 0.5 * b * special.betainc(a1, 0.5, x)
-            xs = np.where(x < 1e-6, x, 0.0)
-            series = 0.5 * xs ** a1 / a1 * (1.0 + a1 * xs / (2.0 * (a1 + 1.0))
-                                            + 3.0 * a1 * xs ** 2 / (8.0 * (a1 + 2.0)))
-        return np.where(x < 1e-6, series, exact)
+            xs = np.where(shallow, 0.0, x)
+            out = np.asarray(0.5 * xs ** a1 / a1 * (
+                1.0 + a1 * xs / (2.0 * (a1 + 1.0)) + 3.0 * a1 * xs ** 2 / (8.0 * (a1 + 2.0))))
+            # betainc only where its value is kept
+            special.betainc(a1, 0.5, x, out=out, where=shallow)
+            return np.multiply(0.5 * b, out, out=out, where=shallow)
 
     def moment_closed(n):
         n = np.asarray(n, dtype=float)
@@ -349,13 +358,14 @@ def std_weight(alpha):
         lu = np.asarray(lu, dtype=float)
         u = np.exp(lu)
         lx = lu + np.log1p(np.maximum(1.0 - u, 0.0))
-        deep = lx < math.log(1e-6)
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            shallow = np.log(0.5 * b * special.betainc(
-                a1, 0.5, np.where(deep, 0.5, u * (2.0 - u))))
+        shallow = lx >= math.log(1e-6)
         with np.errstate(under="ignore"):
             corr = np.log1p(a1 * np.exp(lx) / (2.0 * (a1 + 1.0)))
-        return np.where(deep, math.log(0.5 / a1) + a1 * lx + corr, shallow)
+        out = np.asarray(math.log(0.5 / a1) + a1 * lx + corr)
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            special.betainc(a1, 0.5, u * (2.0 - u), out=out, where=shallow)
+            np.multiply(0.5 * b, out, out=out, where=shallow)
+            return np.log(out, out=out, where=shallow)
 
     return RadialWeight(
         "std", {"alpha": alpha},

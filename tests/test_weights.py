@@ -62,6 +62,39 @@ def test_std_tail_closed_form():
         assert w.tail(r) == pytest.approx(expect, rel=1e-11)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0.37, 1.0])
+def test_std_tail_calls_betainc_only_where_it_is_used(alpha, monkeypatch):
+    # the closed tail keeps the bits of choosing between the series and
+    # betainc on every node, and betainc evaluates only x = u(2-u) >= 1e-6;
+    # tail_u_log likewise on its shallow entries
+    from scipy import special
+    w = std_weight(alpha)
+    a1, b = alpha + 1.0, special.beta(alpha + 1.0, 0.5)
+    us = np.concatenate([np.logspace(-300, -1, 400), np.linspace(0.05, 1.0, 40)])
+    x = us * (2.0 - us)
+    with np.errstate(under="ignore"):
+        xs = np.where(x < 1e-6, x, 0.0)
+        series = 0.5 * xs ** a1 / a1 * (1.0 + a1 * xs / (2.0 * (a1 + 1.0))
+                                        + 3.0 * a1 * xs ** 2 / (8.0 * (a1 + 2.0)))
+    want = np.where(x < 1e-6, series, 0.5 * b * special.betainc(a1, 0.5, x))
+    seen = []                           # the arguments betainc evaluates
+    betainc = special.betainc
+
+    def spy(a, c, t, **kw):
+        seen.append(np.asarray(t)[kw.get("where", True)])
+        return betainc(a, c, t, **kw)
+
+    monkeypatch.setattr(special, "betainc", spy)
+    assert w.tail_u(us).tobytes() == want.tobytes()
+    assert [float(w.tail_u(u)) for u in us[::37]] == want[::37].tolist()
+    assert min(float(t.min()) for t in seen if t.size) >= 1e-6
+    seen.clear()
+    logs = w.tail_u_log(np.log(us))
+    assert min(float(t.min()) for t in seen if t.size) >= 1e-6
+    ok = want > 1e-290
+    assert np.allclose(logs[ok], np.log(want[ok]), rtol=1e-12, atol=0.0)
+
+
 def test_logpow_tail_value(w_logpow2):
     # density ~ (1-r)^{-1} log(e/(1-r))^{-3} integrates to log(e/(1-r))^{-2}/2
     # up to normalization; at 1-r = e^{1-e} the unnormalized tail is 1/e
@@ -215,6 +248,22 @@ def test_moment_radial_std_beta_function():
     w = std_weight(-0.5)
     assert w.moment(10) == pytest.approx(0.5 * beta(11, 0.5), rel=1e-12)
     assert w.moment(10) == pytest.approx(0.270260183572877, rel=1e-12)
+
+
+def test_moments_upto_reads_the_longest_table():
+    # a shorter call reads the head of the longest closed-form table, a
+    # longer one replaces it; every value keeps the bits of a fresh weight's
+    for make in (lambda: std_weight(0.37), lambda: std_weight(-0.5).scaled(2.5),
+                 lambda: pow_weight(1.0).normalized()):
+        w = make()
+        w.moments_upto(4096)
+        for n in (0, 7, 4096, 5000, 100):
+            assert np.array_equal(w.moments_upto(n), make().moments_upto(n)), n
+    w = std_weight(0.37)
+    w.moments_upto(6000)
+    v = w.scaled(3.0)
+    v.moments_upto(6000)
+    assert np.array_equal(v.moments_upto(10), std_weight(0.37).scaled(3.0).moments_upto(10))
 
 
 def test_moment_monotone_decreasing(w_std_1):
