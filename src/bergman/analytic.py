@@ -42,6 +42,7 @@ from .spec import REQUIRED
 from .errors import DomainError
 from .quadrature import _WEIGHTS, gauss_panels, geometric_u_grid
 from .results import finite, undetermined
+from .special import lgamma_ratio
 
 __all__ = [
     "AnalyticFunction",
@@ -137,9 +138,8 @@ def binomial_kernel(s, deg):
     """Truncation of (1-z)^(-s); coefficients Gamma(k+s)/(Gamma(s) k!)."""
     if not s > 0:
         raise DomainError("binom needs s > 0")
-    from scipy.special import gammaln
-    k = np.arange(deg + 1)
-    c = np.exp(gammaln(k + s) - gammaln(s) - gammaln(k + 1.0))
+    k = np.arange(deg + 1.0)
+    c = np.exp(lgamma_ratio(k + 1.0, s - 1.0) - math.lgamma(s))
     return AnalyticFunction(c, label="binom(s=%g,deg=%d)" % (s, deg))
 
 

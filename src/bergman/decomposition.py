@@ -44,13 +44,17 @@ _SLOPE_TOL = 0.2
 
 
 def _solve_radius_u(w, target):
-    """Solve tail(w, 1-u) = target for u in (0, 1], by bisection in log u.
+    """Solve tail(w, 1-u) = target for u in (0, 1], by Newton steps in log u.
 
-    The tail is increasing in u, so the bracket is monotone.  Tolerance is
-    1e-12 absolute in r (i.e. in u) or 1e-10 relative in the tail value,
-    whichever binds first; for rapidly increasing weights the radius
-    tolerance alone cannot separate consecutive radii, the tail tolerance
-    can.  Returns u; underflow to 0.0 signals "beyond double precision".
+    The tail is increasing in u, so the bracket in s = log u is monotone.
+    Each step is Newton's on log tail, whose derivative in s is
+    u omega(1-u) / tail: one density evaluation next to the tail's.  A step
+    that leaves the bracket, or fails to halve the step before it, is a
+    bisection instead.  Tolerance is 1e-12 absolute in r (i.e. in u) or
+    1e-12 relative in the tail value, whichever binds first; for rapidly
+    increasing weights the radius tolerance alone cannot separate
+    consecutive radii, the tail tolerance can.  Returns u; underflow to 0.0
+    signals "beyond double precision".
     """
     if target >= w.tail_u(1.0):
         return 1.0
@@ -60,18 +64,28 @@ def _solve_radius_u(w, target):
         s_lo *= 2.0
         if s_lo < -745.0:          # exp underflows: radius indistinguishable from 1
             return 0.0
+    log_target = math.log(target)
+    s = 0.5 * (s_lo + s_hi)
+    step_old = s_hi - s_lo
     for _ in range(200):
-        s_mid = 0.5 * (s_lo + s_hi)
-        u_mid = math.exp(s_mid)
-        t = w.tail_u(u_mid)
+        u = math.exp(s)
+        t = float(w.tail_u(u))
         if abs(t - target) <= 1e-12 * target:
-            return u_mid
+            return u
         if t > target:
-            s_hi = s_mid
+            s_hi = s
         else:
-            s_lo = s_mid
+            s_lo = s
         if s_hi - s_lo < 1e-13:
             break
+        slope = u * float(w.density_u(u)) / t if t > 0 else math.nan
+        step = (math.log(t) - log_target) / slope if slope > 0 else math.nan
+        if s_lo < s - step < s_hi and abs(step) <= 0.5 * abs(step_old):
+            s -= step
+        else:
+            step = s - 0.5 * (s_lo + s_hi)
+            s -= step
+        step_old = step
     return math.exp(0.5 * (s_lo + s_hi))
 
 
@@ -156,14 +170,15 @@ class BlockPartition:
 
         Used by the series majorants, which only ever need r^(M_n): values
         past 1/u underflowing are returned as inf and the corresponding
-        power r^(M_n) is exactly 0 for r < 1.
+        power r^(M_n) is exactly 0 for r < 1.  Near-integer 1/u snaps as
+        for the stored marks (``_mark_from_u``).
         """
         if n < len(self.marks):
             return float(self.marks[n])
         m = self._mark_cache.get(n)
         if m is None:
-            u = _solve_radius_u(self.weight, 2.0 ** (-n * self.alpha))
-            m = math.inf if u <= 0.0 else math.floor(1.0 / u)
+            m = _mark_from_u(_solve_radius_u(self.weight, 2.0 ** (-n * self.alpha)))
+            m = math.inf if m is None else m
             self._mark_cache[n] = m
         return m
 

@@ -16,6 +16,10 @@ is a quadratic form with the closed Bergman kernel, which keeps every
 coefficient of H(phi); a batch of spans of phi evaluates the kernel once
 on the union of their nodes, one block of rows at a time, so the dyadic
 sweep r = 1 - 2^-j of the extremal profiles costs about its widest span.
+For std weights the kernel is 2F1(1,1;alpha+2;x) from ``special``: its
+power series up to x = 1/2, and above it the connection formula at x = 1
+(non-integer alpha) or a recurrence that stays exact up to x = 1
+(integer alpha).
 
 Well-definedness of H_g on the source space A^p_omega is governed by the
 integrability of tail(r)^(-1/(p-1)) (checked once per OperatorSetting);
@@ -33,13 +37,13 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import gammaln, hyp2f1
 
 from .analytic import AnalyticFunction, bergman_norm, circle_profile
 from .errors import DomainError, WellDefinednessError
 from .quadrature import (_WEIGHTS as _GAUSS_WEIGHTS, gauss_panels,
                          integrate_geometric, integrate_geometric_vec)
 from .results import divergent, finite, undetermined
+from .special import hyp2f1_11, hyp2f1_11_int, lgamma_ratio
 from .weights import carleson_mass, condition_99
 
 #: largest Hankel product N m still summed densely (cheaper than the FFT)
@@ -250,7 +254,8 @@ def _bergman2_kernel(w):
     The returned callable takes 1 - x rather than x: near x = 1 the
     quantity 1 - ts is exactly representable from the node offsets
     u = 1 - t while x itself rounds to 1.0, so evaluation stays accurate
-    arbitrarily close to the boundary.
+    arbitrarily close to the boundary.  Entries with x <= 1/2 take the
+    series of ``special.hyp2f1_11`` (``_far_series``).
     """
     k0 = 2.0 * w.moment(0)
     alpha = w.params.get("alpha", 0.0) if w.family == "std" else 0.0
@@ -265,12 +270,16 @@ def _bergman2_kernel(w):
         return kernel
     if w.family == "std":
         if alpha == round(alpha):
-            # positive integer alpha: hyp2f1(1,1,alpha+2,.) is continuous
-            # up to x = 1 with value (alpha+1)/alpha, so direct evaluation
-            # is stable even when x rounds to 1
+            # positive integer alpha: the recurrence of hyp2f1_11_int above
+            # x = 1/2, continuous up to x = 1 with value (alpha+1)/alpha, so
+            # it stays exact where x rounds to 1
             def kernel(omx):
-                x = 1.0 - np.asarray(omx, dtype=float)
-                return k0 * hyp2f1(1.0, 1.0, alpha + 2.0, x)
+                omx = np.asarray(omx, dtype=float)
+                far, far_v = _far_series(omx, alpha + 2.0)
+                v = hyp2f1_11_int(int(alpha), omx)
+                v.flat[far] = far_v
+                v *= k0
+                return v
             return kernel
 
         # non-integer alpha: connection formula at x = 1,
@@ -280,26 +289,34 @@ def _bergman2_kernel(w):
 
         def kernel(omx):
             omx = np.asarray(omx, dtype=float)
-            x = 1.0 - omx
-            near = x > 0.5
-            v = np.empty_like(omx)
-            v[~near] = hyp2f1(1.0, 1.0, alpha + 2.0, x[~near])
-            # in place, as few block-sized arrays as hilbert_norm2_profile's
-            # memory allows, in the order of ca*h + cb*o^alpha/x^(alpha+1)
-            o, x = omx[near], x[near]
-            h = hyp2f1(1.0, 1.0, 1.0 - alpha, o)
-            h *= ca
-            o **= alpha
+            far, far_v = _far_series(omx, alpha + 2.0)
+            # every entry in place, as few block-sized arrays as
+            # hilbert_norm2_profile's memory allows, in the order of
+            # ca*h + cb*o^alpha/x^(alpha+1); the series of h takes o <= 1/2
+            # and the entries with x <= 1/2 are then replaced
+            v = hyp2f1_11(1.0 - alpha, np.minimum(omx, 0.5))
+            v *= ca
+            o = np.power(omx, alpha)
             o *= cb
-            x **= alpha + 1.0
-            o /= x
-            h += o
-            v[near] = h
+            x = 1.0 - omx
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x **= alpha + 1.0
+                o /= x
+            v += o
+            v.flat[far] = far_v
             v *= k0
             return v
         return kernel
     raise DomainError("closed Bergman kernel only available for const/std "
                       "weights (got %s)" % w.family)
+
+
+def _far_series(omx, c):
+    """The flat indices of the entries with x = 1 - omx <= 1/2, and
+    2F1(1, 1; c; x) there by its series."""
+    x = 1.0 - omx.ravel()
+    far = np.flatnonzero(x <= 0.5)
+    return far, hyp2f1_11(c, x[far])
 
 
 def _span_rows(phi, t_min, t_max):
@@ -379,7 +396,7 @@ def test_function_fN(setting, gamma, n, part):
     deg = min(20 * m, _FN_DEGREE_CAP)
     js = np.arange(deg + 1, dtype=float)
     # binomial series (1-az)^(-s): coefficient Gamma(j+s)/(Gamma(s) j!) a^j
-    logc = gammaln(js + s) - gammaln(s) - gammaln(js + 1.0) + js * math.log(a)
+    logc = lgamma_ratio(js + 1.0, s - 1.0) - math.lgamma(s) + js * math.log(a)
     coeffs = const * np.exp(logc)
     # dropped Bergman mass: the tail terms c_j^2 omega_j decay roughly like
     # a^(2j), so a geometric closure at the last kept coefficient bounds it

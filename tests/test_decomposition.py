@@ -55,6 +55,68 @@ def test_mark_float_extends_marks(part_dyadic):
         assert part_dyadic.mark_float(n) == pytest.approx(2.0 ** n, rel=1e-9)
 
 
+def test_mark_float_snaps_like_the_stored_marks(w_const):
+    # the flat weight's radii are u_n = 2^-n exactly; the solver may land
+    # an ulp to either side, and the continuation marks snap as the
+    # stored ones do instead of reading 2^n - 1
+    part = partition(w_const, 1.0, 0)
+    assert part.marks == (1,)
+    assert [part.mark_float(n) for n in range(1, 41)] == [2 ** n for n in range(1, 41)]
+
+
+def _bisect_radius_u(w, target):
+    """The bisection in log u that the Newton solver replaced."""
+    if target >= w.tail_u(1.0):
+        return 1.0
+    s_hi, s_lo = 0.0, -1.0
+    while w.tail_u(math.exp(s_lo)) > target:
+        s_lo *= 2.0
+        if s_lo < -745.0:
+            return 0.0
+    for _ in range(200):
+        s_mid = 0.5 * (s_lo + s_hi)
+        t = w.tail_u(math.exp(s_mid))
+        if abs(t - target) <= 1e-12 * target:
+            return math.exp(s_mid)
+        if t > target:
+            s_hi = s_mid
+        else:
+            s_lo = s_mid
+        if s_hi - s_lo < 1e-13:
+            break
+    return math.exp(0.5 * (s_lo + s_hi))
+
+
+def test_radius_solver_keeps_the_bisection_marks(monkeypatch, w_const, w_linear,
+                                                 w_std_m05, w_std_1, w_logpow2):
+    # every mark of these partitions equals the one the bisection gives,
+    # each radius meets the tail tolerance, and the Newton steps take at
+    # most a third of the bisection's tail evaluations
+    from bergman import decomposition
+    from bergman.weights import RadialWeight
+    calls = []
+    tail_u = RadialWeight.tail_u
+    monkeypatch.setattr(RadialWeight, "tail_u",
+                        lambda self, u: calls.append(u) or tail_u(self, u))
+    cases = [(w, alpha) for w in (w_const, w_linear, w_std_m05, w_std_1, w_logpow2)
+             for alpha in (0.5, 1.0, 2.0)]
+    newton, bisection = [], []
+    for w, alpha in cases:
+        calls.clear()
+        part = partition(w, alpha, 4000)
+        newton.append(len(calls))
+        monkeypatch.setattr(decomposition, "_solve_radius_u", _bisect_radius_u)
+        calls.clear()
+        assert partition(w, alpha, 4000).marks == part.marks, (w, alpha)
+        bisection.append(len(calls))
+        monkeypatch.undo()
+        monkeypatch.setattr(RadialWeight, "tail_u",
+                            lambda self, u: calls.append(u) or tail_u(self, u))
+        for n, u in enumerate(part.us):
+            assert float(w.tail_u(u)) == pytest.approx(2.0 ** (-n * alpha), rel=1e-12)
+    assert 3 * sum(newton) <= sum(bisection)
+
+
 def test_partition_requires_normalized():
     with pytest.raises(DomainError):
         partition(pow_weight(1.0), 1.0, 64)

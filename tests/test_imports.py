@@ -1,6 +1,7 @@
 """Tooling: no module in src/ or tests/ imports a name it never uses, no
-function or class defined in src/bergman goes unreferenced, and every name
-the per-layer tracer of perfbench/ wraps still exists.
+function or class defined in src/bergman goes unreferenced, every name
+the per-layer tracer of perfbench/ wraps still exists, and the package
+neither imports nor loads scipy.
 
 The scans use only the stdlib ``ast`` module.  A name counts as used when it
 appears anywhere in the module as a plain name (``np`` in ``np.sum``
@@ -13,7 +14,10 @@ perfbench/; dunder methods are called by the language and are exempt.
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -118,3 +122,39 @@ def test_traced_names_resolve_in_bergman():
         if not callable(owner):
             missing.append(span)
     assert layertrace.SPANS and missing == []
+
+
+def _imported_modules(source):
+    """The top-level names of every module that ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_scipy_in_the_package():
+    # numpy and math carry the special functions (bergman.special); scipy's
+    # import alone costs more time and memory than the package
+    assert _imported_modules("import scipy.special as s\nfrom scipy import stats\n"
+                             "from . import special\n") == {"scipy"}
+    files = sorted((_ROOT / "src" / "bergman").rglob("*.py"))
+    assert files
+    assert [str(path.relative_to(_ROOT)) for path in files
+            if "scipy" in _imported_modules(path.read_text())] == []
+
+
+def test_cli_runs_leave_scipy_unloaded(tmp_path):
+    # a weights query and the TH-GORRO scenario, each in a fresh interpreter
+    script = ("import sys\nfrom bergman import cli\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    for argv in (["weights", "inspect", "--weight", "std(alpha=0.5)", "--p", "3"],
+                 ["verify", "--scenario", "TH-GORRO", "--out", str(tmp_path / "r.csv")]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", argv

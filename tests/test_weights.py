@@ -62,37 +62,42 @@ def test_std_tail_closed_form():
         assert w.tail(r) == pytest.approx(expect, rel=1e-11)
 
 
-@pytest.mark.parametrize("alpha", [-0.5, 0.37, 1.0])
-def test_std_tail_calls_betainc_only_where_it_is_used(alpha, monkeypatch):
-    # the closed tail keeps the bits of choosing between the series and
-    # betainc on every node, and betainc evaluates only x = u(2-u) >= 1e-6;
-    # tail_u_log likewise on its shallow entries
-    from scipy import special
+#: u from 1e-300 to 1, and the series/rule switch of special.StdTail
+_TAIL_US = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.05, 1.0, 41),
+                           [2.0 ** -7, 2.0 ** -7 * (1 + 2.0 ** -52), 2.0 ** -8]])
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.37, 1.0, 2.5])
+def test_std_tail_mpmath(alpha):
+    # tail = 0.5 B_x(alpha+1, 1/2) with x = u(2-u), through its
+    # hypergeometric form x^a/a 2F1(a, 1/2; a+1; x); the log within 1e-14
+    # of max(1, |ln tail|), the tail itself wherever it is a normal float
+    mpmath = pytest.importorskip("mpmath")
     w = std_weight(alpha)
-    a1, b = alpha + 1.0, special.beta(alpha + 1.0, 0.5)
-    us = np.concatenate([np.logspace(-300, -1, 400), np.linspace(0.05, 1.0, 40)])
-    x = us * (2.0 - us)
-    with np.errstate(under="ignore"):
-        xs = np.where(x < 1e-6, x, 0.0)
-        series = 0.5 * xs ** a1 / a1 * (1.0 + a1 * xs / (2.0 * (a1 + 1.0))
-                                        + 3.0 * a1 * xs ** 2 / (8.0 * (a1 + 2.0)))
-    want = np.where(x < 1e-6, series, 0.5 * b * special.betainc(a1, 0.5, x))
-    seen = []                           # the arguments betainc evaluates
-    betainc = special.betainc
+    tails, logs = w.tail_u(_TAIL_US), w.tail_u_log(np.log(_TAIL_US))
+    with mpmath.workdps(40):
+        a1 = mpmath.mpf(alpha) + 1
+        for u, t, lt in zip(_TAIL_US.tolist(), tails.tolist(), logs.tolist()):
+            x = mpmath.mpf(u) * (2 - mpmath.mpf(u))
+            want = x ** a1 / a1 * mpmath.hyp2f1(a1, 0.5, a1 + 1, x) / 2
+            if want > 2.2250738585072014e-308:
+                assert abs(t / want - 1) <= 1e-14, u
+            assert abs(lt - mpmath.log(want)) <= 1e-14 * max(1, abs(mpmath.log(want))), u
 
-    def spy(a, c, t, **kw):
-        seen.append(np.asarray(t)[kw.get("where", True)])
-        return betainc(a, c, t, **kw)
 
-    monkeypatch.setattr(special, "betainc", spy)
-    assert w.tail_u(us).tobytes() == want.tobytes()
-    assert [float(w.tail_u(u)) for u in us[::37]] == want[::37].tolist()
-    assert min(float(t.min()) for t in seen if t.size) >= 1e-6
-    seen.clear()
-    logs = w.tail_u_log(np.log(us))
-    assert min(float(t.min()) for t in seen if t.size) >= 1e-6
-    ok = want > 1e-290
-    assert np.allclose(logs[ok], np.log(want[ok]), rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.37, 1.0])
+def test_std_tail_float_equals_array(alpha):
+    # a float, a 0-d array and an entry of an array get the same bits,
+    # NaN outside 0 <= u <= 1 and 0 at u = 0 included
+    w = std_weight(alpha).scaled(1.7)
+    us = np.concatenate([_TAIL_US, [0.0, 5e-324, 1e-310, 1.5, -0.5, math.nan]])
+    lus = np.concatenate([np.log(_TAIL_US), [-np.inf, -1000.0, -745.0, 1e-300, 0.4, math.nan]])
+    for f, xs in ((w.tail_u, us), (w.tail_u_log, lus)):
+        got = f(xs)
+        assert got.tobytes() == f(xs.reshape(2, -1)).ravel().tobytes()
+        assert np.array([f(x) for x in xs.tolist()]).tobytes() == got.tobytes()
+        assert np.array([f(np.array(x)) for x in xs]).tobytes() == got.tobytes()
+    assert w.tail_u(0.0) == 0.0 and np.isnan(w.tail_u(1.5)) and np.isnan(w.tail_u(-0.5))
 
 
 def test_logpow_tail_value(w_logpow2):
@@ -244,10 +249,33 @@ def test_tail_sweep_matches_closed_form(beta, p):
 
 def test_moment_radial_std_beta_function():
     # integral of r^(2n+1)(1-r^2)^alpha dr = B(n+1, alpha+1)/2
-    from scipy.special import beta
+    mpmath = pytest.importorskip("mpmath")
     w = std_weight(-0.5)
-    assert w.moment(10) == pytest.approx(0.5 * beta(11, 0.5), rel=1e-12)
+    assert w.moment(10) == pytest.approx(float(mpmath.beta(11, 0.5) / 2), rel=1e-12)
     assert w.moment(10) == pytest.approx(0.270260183572877, rel=1e-12)
+
+
+#: n up to 2^20, across the Beta function's Stirling switch at n + 1 = 20
+_MOMENT_NS = np.unique(np.concatenate([np.arange(40), np.geomspace(40, 2 ** 20, 60)
+                                       .astype(int)]))
+
+
+@pytest.mark.parametrize("make, alpha", [
+    (std_weight, -0.5), (std_weight, 0.37), (std_weight, 1.0),
+    (pow_weight, 0.0), (pow_weight, 0.5), (pow_weight, 1.37)])
+def test_closed_moments_mpmath(make, alpha):
+    # std: omega_n = B(n+1, alpha+1)/2; pow: B(2n+2, beta+1); both within
+    # 1e-14 of mpmath, and a single moment has the bits of the table's
+    mpmath = pytest.importorskip("mpmath")
+    table = make(alpha).moments_upto(2 ** 20)
+    with mpmath.workdps(40):
+        for n in _MOMENT_NS.tolist():
+            if make is std_weight:
+                want = mpmath.beta(n + 1, mpmath.mpf(alpha) + 1) / 2
+            else:
+                want = mpmath.beta(2 * n + 2, mpmath.mpf(alpha) + 1)
+            assert abs(table[n] / want - 1) <= 1e-14, n
+    assert [make(alpha).moment(n) for n in _MOMENT_NS.tolist()] == table[_MOMENT_NS].tolist()
 
 
 def test_moments_upto_reads_the_longest_table():
