@@ -6,10 +6,10 @@ They replace the four scipy.special functions the package once imported
 * :func:`lgamma_ratio`, ln Gamma(a + b) - ln Gamma(a): the binomial
   coefficients of ``analytic.binomial_kernel`` and of
   ``operators.test_function_fN``;
-* :func:`beta` and :func:`beta_grid`, the Beta function of the std and
-  pow moments;
-* :class:`StdTail`, the tail integral of (1 - s^2)^alpha over (1 - u, 1)
-  and its logarithm, for ``weights.std_weight``;
+* :func:`beta`, the Beta function of the std and pow moments;
+* :func:`std_tail`, the tail integral of (1 - s^2)^alpha over (1 - u, 1)
+  and its logarithm, for ``weights.std_weight``: :class:`StdTail` up to
+  alpha = 50, :class:`StdTailCF` above;
 * :func:`hyp2f1_11`, 2F1(1, 1; c; y) for 0 <= y <= 1/2, and
   :func:`hyp2f1_11_int`, 2F1(1, 1; m + 2; x) for a positive integer m and
   1/2 < x <= 1, taken in 1 - x: the closed A^2_omega kernel of std weights
@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-__all__ = ["lgamma_ratio", "beta", "beta_grid", "StdTail", "hyp2f1_11", "hyp2f1_11_int"]
+__all__ = ["lgamma_ratio", "beta", "std_tail", "StdTail", "StdTailCF", "hyp2f1_11",
+           "hyp2f1_11_int"]
 
 #: from this min(a, a + b) on, lgamma_ratio and beta take the Stirling
 #: difference; below it, quotients of math.gamma values, which stay finite
@@ -89,7 +90,7 @@ def _by_range(a, b, stirling, small):
         a = float(a)
         return small(a) if a < edge else float(stirling(a))
     a = np.asarray(a, dtype=float)
-    low = np.flatnonzero(a < edge)
+    low = (a.reshape(-1) < edge).nonzero()[0]
     if low.size == a.size:
         return np.array([small(v) for v in a.ravel().tolist()]).reshape(a.shape)
     out = stirling(a)
@@ -118,53 +119,91 @@ def lgamma_ratio(a, b):
     return _by_range(a, b, lambda a: b * np.log(a) + _stirling_rest(a, b), small)
 
 
+#: terms of the asymptotic series of _ratio_series
+_RATIO_TERMS = 6
+
+#: the Bernoulli numbers B_0, ..., B_15
+_BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0, -1.0 / 30.0, 0.0,
+              5.0 / 66.0, 0.0, -691.0 / 2730.0, 0.0, 7.0 / 6.0, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _ratio_series(y):
+    """For 0 < y <= 100: the coefficients g_6, ..., g_1 of
+
+        ln(Gamma(x)/Gamma(x + y)) = -y ln w + sum_m g_m w^(-2m),
+        w = x + (y - 1)/2,  g_m = -2 B_(2m+1)(h) / (2m (2m + 1)),
+
+    h = (1 - y)/2, an asymptotic series in w^-2 (the two ln Gamma
+    expansions at w -/+ y/2 share their even Bernoulli terms), and the x
+    from which its first omitted term is below 2^-56 (at least 1)."""
+    h = 0.5 * (1.0 - y)
+    g = []
+    for m in range(1, _RATIO_TERMS + 2):
+        n = 2 * m + 1
+        bern = math.fsum(math.comb(n, k) * _BERNOULLI[k] * h ** (n - k) for k in range(n + 1))
+        g.append(-2.0 * bern / (2 * m * (2 * m + 1)))
+    w_min = (abs(g[-1]) * 2.0 ** 56) ** (1.0 / (2 * _RATIO_TERMS + 2))
+    return tuple(g[-2::-1]), max(1.0, w_min - 0.5 * (y - 1.0))
+
+
 def beta(x, y):
     """The Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for
     x > 0 and 0 < y <= 100 (a float), and the exponential of the ln Gamma
     terms for larger y.
 
-    From min(x, x + y) = 20 on it is Gamma(y) exp(-rest) x^(-y), rest the
-    Stirling difference of ``lgamma_ratio``: the power keeps y ln x out of
-    any rounded logarithm, where exp(-lgamma_ratio) would carry the
-    rounding error of a value of size y ln x.  Below that it is the
-    quotient of ``math.gamma`` values.
+    From the x of ``_ratio_series`` on, the x that make up a moment table,
+    it is Gamma(y) w^(-y) exp(sum_m g_m w^(-2m)) with w = x + (y - 1)/2:
+    the power keeps y ln w out of any rounded logarithm.  Below that, from
+    min(x, x + y) = 20 on, it is Gamma(y) exp(-rest) x^(-y), rest the
+    Stirling difference of ``lgamma_ratio``, and below 20 the quotient of
+    ``math.gamma`` values.
     """
     y = float(y)
     if y > 100.0:
         return np.exp(math.lgamma(y) - lgamma_ratio(x, y))
     gy = math.gamma(y)
-    return _by_range(x, y, lambda x: gy * np.exp(-_stirling_rest(x, y)) * np.power(x, -y),
-                     lambda x: math.gamma(x) * gy / math.gamma(x + y))
+    g, x_min = _ratio_series(y)
+    c = 0.5 * (y - 1.0)
 
+    def small(x):
+        return math.gamma(x) * gy / math.gamma(x + y)
 
-#: beta_grid evaluates beta() at every _GRID_RUN-th point of its grid
-_GRID_RUN = 8
+    def below(x):
+        if not _is_scalar(x) and x_min <= _STIRLING_MIN:
+            return np.array([small(v) for v in x.tolist()])
+        return _by_range(x, y, lambda x: gy * np.exp(-_stirling_rest(x, y)) * np.power(x, -y),
+                         small)
 
-
-def beta_grid(x0, step, lo, hi, y):
-    """B(x0 + k step, y) for lo <= k < hi and step 1 or 2, x0 > 0: the
-    closed std and pow moments, one or a table of them.
-
-    ``beta`` gives each entry with k divisible by 8.  The next seven
-    multiply it, in order, by the exact ratios B(x + step, y)/B(x, y),
-    the product over i < step of (x + i)/(x + i + y), which adds at most
-    a few ulps to beta's error at a fraction of its cost.  So entry k has
-    the same bits whatever lo and hi are, also for a single entry, which
-    takes Python floats.
-    """
-    start = lo - lo % _GRID_RUN
-    if hi - lo == 1:
-        v = beta(x0 + step * start, y)
-        for k in range(start, lo):
-            x = x0 + step * k
-            v *= x / (x + y) if step == 1 else (x * (x + 1.0)) / ((x + y) * (x + y + 1.0))
-        return np.array([v])
-    x = x0 + step * np.arange(start, hi + (-(hi - start)) % _GRID_RUN, dtype=float)
-    runs = (x / (x + y) if step == 1 else (x * (x + 1.0)) / ((x + y) * (x + y + 1.0))
-            ).reshape(-1, _GRID_RUN)
-    runs[:, 1:] = runs[:, :-1]
-    runs[:, 0] = beta(x[::_GRID_RUN], y)
-    return np.multiply.accumulate(runs, axis=1).ravel()[lo - start:hi - start]
+    if _is_scalar(x):
+        x = float(x)
+        if x < x_min:
+            return below(x)
+        w = x + c
+        r = 1.0 / (w * w)
+        s = g[0] * r
+        for gm in g[1:]:
+            s = (s + gm) * r
+        return float(np.exp(s)) * float(np.power(w, -y)) * gy
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    low = (flat < x_min).nonzero()[0]
+    if low.size == flat.size:
+        return below(flat).reshape(x.shape)
+    w = np.maximum(flat, x_min)                 # the entries below are replaced
+    w += c
+    r = w * w
+    np.divide(1.0, r, out=r)
+    out = g[0] * r
+    for gm in g[1:]:
+        out += gm
+        out *= r
+    np.exp(out, out=out)
+    out *= np.power(w, -y)
+    out *= gy
+    if low.size:
+        out[low] = below(flat[low])
+    return out.reshape(x.shape)
 
 
 #: points of the Gauss-Jacobi rule of StdTail
@@ -220,8 +259,42 @@ def _sum16(terms):
     return terms[0] + terms[1]
 
 
+#: std_tail takes StdTail's rule up to this alpha, StdTailCF above
+_RULE_ALPHA_MAX = 50.0
+
+
+def std_tail(alpha):
+    """The std tail T(u) = integral of (1 - s^2)^alpha over (1 - u, 1) for
+    alpha > -1: a callable of u with a ``log`` method of ln u.
+
+    For 0 <= u <= 1 it is within 1e-14 of mpmath up to alpha = 50 (the
+    rule of :class:`StdTail`), and beyond within a few alpha ulps (the
+    continued fraction of :class:`StdTailCF`).  For 1 < u <= 2 it is the
+    whole integral B(alpha + 1, 1/2) less T(2 - u), and NaN beyond.
+    """
+    return StdTail(alpha) if alpha <= _RULE_ALPHA_MAX else StdTailCF(alpha)
+
+
+def _reflected(flat):
+    """For a flat array u: v = u on [0, 1] and 2 - u on (1, 2], exact,
+    the mask of the points with 1 < u <= 2, and the mask of those
+    outside [0, 2] (NaN included), where v is set to 0."""
+    v = np.where(flat <= 1.0, flat, 2.0 - flat)
+    bad = ~((v >= 0.0) & (v <= 1.0))
+    v[bad] = 0.0
+    return v, (flat > 1.0) & ~bad, bad
+
+
+def _unreflected(out, full, mirror, bad):
+    """``out`` at v = 2 - u turned into the tail at u: full - T(v) on the
+    ``mirror`` points, NaN on the ``bad`` ones."""
+    out[mirror] = full - out[mirror]
+    out[bad] = math.nan
+    return out
+
+
 class StdTail:
-    """The std tail T(u) = integral of (1 - s^2)^alpha over (1 - u, 1).
+    """The std tail T(u) for -1 < alpha <= 50.
 
     With s = 1 - u t, for every 0 <= u <= 1,
 
@@ -234,10 +307,10 @@ class StdTail:
     it is the 16-point Gauss-Jacobi rule for the weight t^alpha, built on
     first use: the rest of the integrand, (1 - u t/2)^alpha, is analytic
     up to t = 2/u >= 2, which the rule resolves to rounding: within
-    2e-15 of mpmath for -1 < alpha <= 50, 4e-12 at alpha = 100.  Calling
-    the object gives T; ``log`` gives ln T from ln u, also where T
-    underflows.  Outside 0 <= u <= 1 the value is NaN.  A float gives the
-    bits of the same point inside an array.
+    2e-15 of mpmath for -1 < alpha <= 50.  Calling the object gives T;
+    ``log`` gives ln T from ln u, also where T underflows.  For
+    1 < u <= 2 it is B(alpha + 1, 1/2) - T(2 - u), outside 0 <= u <= 2
+    NaN.  A float gives the bits of the same point inside an array.
     """
 
     def __init__(self, alpha):
@@ -293,21 +366,20 @@ class StdTail:
             return (np.power(flat, self.alpha) * flat
                     * self._scaled_integrals(flat, lo, hi)).reshape(u.shape)
         # zeros, subnormals, NaN or points outside [0, 1]
-        ok = (flat >= 0.0) & (flat <= 1.0)
-        v = np.where(ok, flat, 0.0)
+        v, mirror, bad = _reflected(flat)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.power(v, self.alpha) * v * self._scaled_integrals(v, 0.0, 1.0)
         tiny = v < _TINY
         out[tiny] = np.power(v[tiny], self._a1) * self._scaled_integrals(v[tiny], 0.0, 0.0)
-        out[~ok] = math.nan
-        return out.reshape(u.shape)
+        full = beta(self._a1, 0.5) if mirror.any() else 0.0
+        return _unreflected(out, full, mirror, bad).reshape(u.shape)
 
     def log(self, lu):
         """ln T(e^lu) = (alpha + 1) lu + ln J(e^lu)."""
         if _is_scalar(lu):
             lu = float(lu)
             if not lu <= 0.0:
-                return np.float64(math.nan)
+                return self.log(np.array([lu]))[0]
             return np.float64(self._a1 * lu
                               + np.log(self._scaled_integral(float(np.exp(lu)))))
         lu = np.asarray(lu, dtype=float)
@@ -316,11 +388,137 @@ class StdTail:
             return np.zeros(lu.shape)
         hi = flat.max()
         if not hi <= 0.0:
-            out = self.log(np.where(flat <= 0.0, flat, 0.0))
-            out[~(flat <= 0.0)] = math.nan
+            # u = e^lu above 1 (or NaN): the log of the tail itself
+            up = ~(flat <= 0.0)
+            out = self.log(np.where(up, 0.0, flat))
+            with np.errstate(over="ignore"):
+                out[up] = np.log(self(np.exp(flat[up])))
             return out.reshape(lu.shape)
         u = np.exp(flat)
         out = self._a1 * flat + np.log(self._scaled_integrals(u, np.exp(flat.min()), np.exp(hi)))
+        return out.reshape(lu.shape)
+
+
+def _two_product_err(a, b, p):
+    """a b - p for p = fl(a b) and |a|, |b| <= 2, exactly (Dekker's
+    product with Veltkamp's split)."""
+    ca = 134217729.0 * a
+    ah = ca - (ca - a)
+    al = a - ah
+    cb = 134217729.0 * b
+    bh = cb - (cb - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+#: _beta_cf stops an entry whose last factor is within this of 1, and
+#: every entry after this many steps
+_CF_EPS, _CF_MAX_STEPS = 2.0 ** -52, 10000
+
+
+def _beta_cf(a, b, x):
+    """K with B_x(a, b) = x^a (1 - x)^b K / a, B_x the incomplete Beta
+    function, for a flat array 0 <= x < (a + 1)/(a + b + 2): the continued
+    fraction of DLMF 8.17.22 by the modified Lentz method, whose partial
+    numerators are m (b - m) x / ((a + 2m - 1)(a + 2m)) and
+    -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)).  An entry stops at the
+    first step whose factor is within 2^-52 of 1, so it has the same bits
+    inside any array."""
+    c = np.ones(x.shape)
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d.copy()
+    live = np.ones(x.shape, dtype=bool)
+    m = 0
+    with np.errstate(all="ignore"):
+        while m < _CF_MAX_STEPS and live.any():
+            m += 1
+            step = 1.0
+            for e in (m * (b - m) / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+                      -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 1.0 + 2 * m))):
+                aa = e * x
+                d = 1.0 / (1.0 + aa * d)
+                c = 1.0 + aa / c
+                f = d * c
+                step = step * f
+            h = np.where(live, h * step, h)
+            live &= np.abs(f - 1.0) > _CF_EPS
+    return h
+
+
+#: below this StdTailCF.log takes ln T term by term
+_LOG_DEEP = 2.0 ** -960
+
+
+class StdTailCF:
+    """The std tail T(u) for alpha > 50: T(u) = B_x(a, 1/2)/2 with
+    a = alpha + 1 and x = u (2 - u), from the continued fraction of
+    ``_beta_cf``, which converges in at most a few dozen steps for any a.
+
+    For x <= (a + 1)/(a + 5/2) it is x^a (1 - x)^(1/2) K(a, 1/2, x)/(2a);
+    above, B(a, 1/2)/2 less (1 - u) x^a K(1/2, a, (1 - u)^2), the same
+    form at 1 - x = (1 - u)^2 with the parameters swapped.  x is the
+    rounded product p, and its rounding error dx, known exactly, enters
+    at first order through dB_x/dx = x^(a-1) (1 - x)^(-1/2).  Within
+    2e-14 of mpmath at alpha = 150 and 1.5e-13 at alpha = 1000: next to
+    the switch the fraction's value is of size a and its first partial
+    denominators cancel to 1/a.  ``log`` and the points 1 < u <= 2 and
+    outside [0, 2] are as for StdTail; a float goes through a one-point
+    array.
+    """
+
+    def __init__(self, alpha):
+        self.alpha = alpha = float(alpha)
+        self._a = alpha + 1.0
+        self._full = beta(self._a, 0.5)
+
+    def _tail(self, v):
+        """T at a flat array 0 <= v <= 1."""
+        a = self._a
+        w = 2.0 - v
+        p = v * w
+        dx = _two_product_err(v, w, p) + v * ((2.0 - w) - v)      # x - p
+        out = np.empty(v.shape)
+        direct = p <= (a + 1.0) / (a + 2.5)
+        i = np.flatnonzero(direct)
+        if i.size:
+            pi = p[i]
+            qi = 1.0 - pi
+            k = _beta_cf(a, 0.5, pi)
+            out[i] = 0.5 * np.power(pi, a - 1.0) / np.sqrt(qi) * (pi * qi * k / a + dx[i])
+        j = np.flatnonzero(~direct)
+        if j.size:
+            pj = p[j]
+            omv = 1.0 - v[j]
+            k = _beta_cf(0.5, a, omv * omv)
+            out[j] = 0.5 * self._full - omv * np.power(pj, a) * (1.0 + a * dx[j] / pj) * k
+        return out
+
+    def __call__(self, u):
+        if _is_scalar(u):
+            return self(np.array([float(u)]))[0]
+        u = np.asarray(u, dtype=float)
+        v, mirror, bad = _reflected(u.reshape(-1))
+        with np.errstate(under="ignore"):
+            out = self._tail(v)
+        return _unreflected(out, self._full, mirror, bad).reshape(u.shape)
+
+    def log(self, lu):
+        """ln T(e^lu): the log of the tail, and where it nears underflow
+        a ln x + ln(1 - x)/2 + ln K - ln(2a), ln x = lu + ln(2 - u)."""
+        if _is_scalar(lu):
+            return self.log(np.array([float(lu)]))[0]
+        lu = np.asarray(lu, dtype=float)
+        flat = lu.reshape(-1)
+        with np.errstate(over="ignore", divide="ignore"):
+            u = np.exp(flat)
+            t = self(u)
+            out = np.log(t)
+            deep = np.flatnonzero(t < _LOG_DEEP)
+            if deep.size:
+                v = u[deep]
+                x = v * (2.0 - v)
+                out[deep] = (self._a * (flat[deep] + np.log(2.0 - v)) + 0.5 * np.log1p(-x)
+                             + np.log(_beta_cf(self._a, 0.5, x)) - math.log(2.0 * self._a))
         return out.reshape(lu.shape)
 
 

@@ -211,14 +211,17 @@ class RadialWeight:
         """Vectorized omega_0..omega_n_max (closed form when available).
 
         The longest closed-form table computed so far stays in the moment
-        cache and a shorter call reads its head: an entry of the closed
-        form does not depend on the range asked, so each value keeps its
-        bits.
+        cache: a shorter call reads its head, a longer one computes only
+        the entries it lacks.  An entry of the closed form does not depend
+        on the range asked, so each value keeps its bits.
         """
         if self._moment_closed is not None:
             table = self._moment_cache.get("upto")
-            if table is None or len(table) <= n_max:
+            if table is None:
                 table = self._moment_cache["upto"] = self._moment_closed(0, n_max + 1)
+            elif len(table) <= n_max:
+                table = self._moment_cache["upto"] = np.concatenate(
+                    (table, self._moment_closed(len(table), n_max + 1)))
             return self.scale * table[:n_max + 1]
         return np.array([self.moment(n) for n in range(n_max + 1)])
 
@@ -329,31 +332,25 @@ def const_weight(c=1.0):
     )
 
 
-#: the largest std alpha: special.StdTail's 16-point rule keeps its tails
-#: within 4e-12 of mpmath up to here (about 1e-15 for alpha <= 50)
-_STD_ALPHA_MAX = 100.0
-
-
 def std_weight(alpha):
     """omega(r) = (1 - r^2)^alpha, the standard radial family."""
     if alpha <= -1:
         raise DivergentMassError("std weight needs alpha > -1 (mass diverges)")
-    if not alpha <= _STD_ALPHA_MAX:              # NaN fails too
-        raise DomainError("std weight needs alpha <= %g (its tail rule's range)"
-                          % _STD_ALPHA_MAX)
     a1 = alpha + 1.0
     # the tail 2^alpha u^(alpha+1) I(u), I(u) the integral of
     # t^alpha (1 - u t/2)^alpha over (0, 1): its series for small u, a
-    # Gauss-Jacobi rule above (special.StdTail); its log form stays
-    # accurate where the tail underflows; the mass is B(1/2, alpha+1)/2
-    tail = special.StdTail(alpha)
+    # Gauss-Jacobi rule above, up to alpha = 50; the incomplete Beta
+    # function's continued fraction beyond (special.std_tail).  Its log
+    # form stays accurate where the tail underflows; the mass is
+    # B(alpha+1, 1/2)/2 and the moments B(n+1, alpha+1)/2
+    tail = special.std_tail(alpha)
     return RadialWeight(
         "std", {"alpha": alpha},
         density_u=lambda u: (u * (2.0 - u)) ** alpha,
         tail_u=tail,
         tail_u_log=tail.log,
-        mass=0.5 * special.beta(0.5, a1),
-        moment_closed=lambda lo, hi: 0.5 * special.beta_grid(1.0, 1, lo, hi, a1),
+        mass=0.5 * special.beta(a1, 0.5),
+        moment_closed=lambda lo, hi: 0.5 * special.beta(np.arange(lo + 1.0, hi + 1.0), a1),
         moment_plain_closed=lambda x: 0.5 * special.beta((x + 1.0) / 2.0, a1),
     )
 
@@ -369,7 +366,7 @@ def pow_weight(beta):
         tail_u=lambda u: u ** b1 / b1,
         tail_u_log=lambda lu: b1 * np.asarray(lu, dtype=float) - math.log(b1),
         mass=1.0 / b1,
-        moment_closed=lambda lo, hi: special.beta_grid(2.0, 2, lo, hi, b1),
+        moment_closed=lambda lo, hi: special.beta(2.0 * np.arange(lo + 1.0, hi + 1.0), b1),
         moment_plain_closed=lambda x: special.beta(x + 1.0, b1),
     )
 

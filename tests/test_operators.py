@@ -22,6 +22,7 @@ from bergman.operators import test_function_Q as q_test_function
 from bergman.operators import test_function_fN as fn_test_function
 from bergman.decomposition import partition
 from bergman.quadrature import _WEIGHTS as _GAUSS_WEIGHTS, gauss_panels
+from bergman.weights import std_weight
 
 coeff_lists = st.lists(st.floats(min_value=-2.0, max_value=2.0)
                        .map(lambda x: round(x, 3)),
@@ -380,20 +381,23 @@ def test_operator_norm_lower_symbol_list(p, q, w_std_m05, monkeypatch):
         assert [sum(g is s for g in calls) for s in _SYMBOLS] == [1, 1, 3, 0]
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5],
-                         ids=["const", "std1", "std-0.5"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 0.5, 1.5],
+                         ids=["const", "std1", "std-0.5", "std0.5", "std1.5"])
 def test_bergman2_kernel_mpmath(alpha, w_const, w_std_1, w_std_m05):
     # K(x) = k0 2F1(1,1;alpha+2;x) with k0 = 2 omega_0, taken in 1 - x; the
-    # working precision keeps x = 1 - (1 - x) exact
+    # working precision keeps x = 1 - (1 - x) exact.  alpha = 0.5 and 1.5
+    # take the connection formula with 2F1(1,1;1-alpha;1-x) at c = 1/2 and
+    # c = -1/2
     mpmath = pytest.importorskip("mpmath")
-    w = {0.0: w_const, 1.0: w_std_1, -0.5: w_std_m05}[alpha]
+    w = {0.0: w_const, 1.0: w_std_1, -0.5: w_std_m05}.get(alpha) \
+        or std_weight(alpha).normalized()
     kernel = _bergman2_kernel(w)
     for omx in (1e-300, 1e-17, 1e-8, 0.3, 0.9):
         with mpmath.workdps(30 + max(0, -math.floor(math.log10(omx)))):
             a1 = mpmath.mpf(alpha) + 1
             k0 = 2 / (a1 * mpmath.beta(mpmath.mpf(1) / 2, a1))
             x = 1 - mpmath.mpf(omx)
-            if omx < 1e-100 and alpha != -0.5:
+            if omx < 1e-100 and alpha in (0.0, 1.0):
                 # at 330 digits mpmath's logarithmic case (integer c - a - b)
                 # spends seconds on set-up; 2F1(1,1;2;x) and 2F1(1,1;3;x)
                 # have elementary forms

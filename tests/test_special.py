@@ -22,8 +22,10 @@ def test_lgamma_ratio_mpmath(b):
             assert abs(g - want) <= 1e-14, a
 
 
-@pytest.mark.parametrize("y", [0.5, 1.37, 2.0])
+@pytest.mark.parametrize("y", [0.5, 1.0, 1.37, 2.0, 3.0, 5.5])
 def test_beta_mpmath(y):
+    # each y crosses the asymptotic series' threshold of _ratio_series
+    # (1 to 29), and 5.5 the Stirling difference between 20 and 29
     got = beta(_A, y)
     with mpmath.workdps(40):
         for x, g in zip(_A.tolist(), got.tolist()):
@@ -33,15 +35,17 @@ def test_beta_mpmath(y):
 def test_float_paths_give_the_array_bits():
     # a float argument runs the arithmetic of its array entry: the
     # logarithms, exponentials and powers come from the same numpy ufuncs
-    for b in (-0.5, 1.37):
+    for b in (-0.5, 1.37, 4.5):
         got = lgamma_ratio(_A, b)
         assert [lgamma_ratio(a, b) for a in _A.tolist()] == got.tolist()
         got = beta(_A, b + 1.0)
         assert [beta(a, b + 1.0) for a in _A.tolist()] == got.tolist()
 
 
-@pytest.mark.parametrize("c", [1.2, 1.5, 2.37, 3.0])
+@pytest.mark.parametrize("c", [1.2, 1.5, 2.37, 3.0, 0.5, -0.5, -1.37])
 def test_hyp2f1_11_mpmath(c):
+    # c = 1 - alpha of the non-integer kernel: in (0, 1) for 0 < alpha < 1,
+    # negative above, where the terms change sign
     ys = np.concatenate([[0.0], np.logspace(-300, math.log10(0.5), 149),
                          np.linspace(0.01, 0.5, 50)])
     got = hyp2f1_11(c, ys.reshape(4, -1)).ravel()

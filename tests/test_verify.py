@@ -229,3 +229,20 @@ def test_write_report_rejects_format(tmp_path):
     rep = run_scenario("PROP-LIP")
     with pytest.raises(DomainError):
         write_report(rep, str(tmp_path / "r.xml"), fmt="xml")
+
+
+def test_th_lac_exponents_are_the_stored_marks():
+    # TH-LAC's and TH-LACSUP's series sit on the marks M_n of each weight's
+    # alpha = 1 partition, continued by mark_float: they are the marks
+    # that the partition covering them stores, and the flat weight's are
+    # 2^n
+    from bergman import decomposition
+    for sid in ("TH-LAC", "TH-LACSUP"):
+        cfg = verify._scenarios()[sid][1]
+        for name in cfg["weights"]:
+            w = named_weight(name)
+            exps, _ = verify._lacunary_series(w, 2.0, 1, cfg["seed"], cfg["k_terms"])
+            part = decomposition.partition(w, 1.0, exps[-1])
+            assert exps == list(part.marks[:len(exps)]), (sid, name)
+            if name == "const":
+                assert exps == [2 ** n for n in range(cfg["k_terms"])], sid

@@ -67,28 +67,73 @@ _TAIL_US = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.05, 1.0, 41
                            [2.0 ** -7, 2.0 ** -7 * (1 + 2.0 ** -52), 2.0 ** -8]])
 
 
+def _std_tail_oracle(mpmath, alpha, u):
+    """The integral of (1 - s^2)^alpha over (1 - u, 1) for 0 <= u <= 2:
+    0.5 B_x(a, 1/2) with a = alpha + 1 and x = u(2 - u), through its
+    hypergeometric form x^a/a 2F1(a, 1/2; a + 1; x), and B(a, 1/2) less
+    the tail at 2 - u for u > 1."""
+    a1 = mpmath.mpf(alpha) + 1
+    v = mpmath.mpf(u) if u <= 1 else 2 - mpmath.mpf(u)
+    x = v * (2 - v)
+    tail = x ** a1 / a1 * mpmath.hyp2f1(a1, 0.5, a1 + 1, x) / 2
+    return tail if u <= 1 else mpmath.beta(a1, 0.5) - tail
+
+
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.37, 1.0, 2.5])
 def test_std_tail_mpmath(alpha):
-    # tail = 0.5 B_x(alpha+1, 1/2) with x = u(2-u), through its
-    # hypergeometric form x^a/a 2F1(a, 1/2; a+1; x); the log within 1e-14
-    # of max(1, |ln tail|), the tail itself wherever it is a normal float
+    # the log within 1e-14 of max(1, |ln tail|), the tail itself wherever
+    # it is a normal float
     mpmath = pytest.importorskip("mpmath")
     w = std_weight(alpha)
     tails, logs = w.tail_u(_TAIL_US), w.tail_u_log(np.log(_TAIL_US))
     with mpmath.workdps(40):
-        a1 = mpmath.mpf(alpha) + 1
         for u, t, lt in zip(_TAIL_US.tolist(), tails.tolist(), logs.tolist()):
-            x = mpmath.mpf(u) * (2 - mpmath.mpf(u))
-            want = x ** a1 / a1 * mpmath.hyp2f1(a1, 0.5, a1 + 1, x) / 2
+            want = _std_tail_oracle(mpmath, alpha, u)
             if want > 2.2250738585072014e-308:
                 assert abs(t / want - 1) <= 1e-14, u
             assert abs(lt - mpmath.log(want)) <= 1e-14 * max(1, abs(mpmath.log(want))), u
 
 
-@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.37, 1.0])
+@pytest.mark.parametrize("alpha, tol", [(50.5, 2e-14), (150.0, 3e-14), (1000.0, 1.5e-13)])
+def test_std_tail_mpmath_large_alpha(alpha, tol):
+    # above alpha = 50 the continued fraction of special.StdTailCF, which
+    # loses about alpha ulps next to its switch (scipy's betainc, on the
+    # same points: 4.6e-14, 8.1e-14 and 1.1e-12); its log within tol of
+    # max(1, |ln tail|)
+    mpmath = pytest.importorskip("mpmath")
+    w = std_weight(alpha)
+    us = np.concatenate([np.logspace(-300, -1, 60), np.linspace(0.05, 1.0, 191)])
+    tails, logs = w.tail_u(us), w.tail_u_log(np.log(us))
+    with mpmath.workdps(40):
+        for u, t, lt in zip(us.tolist(), tails.tolist(), logs.tolist()):
+            want = _std_tail_oracle(mpmath, alpha, u)
+            if want > 2.2250738585072014e-308:
+                assert abs(t / want - 1) <= tol, u
+            assert abs(lt - mpmath.log(want)) <= tol * max(1, abs(mpmath.log(want))), u
+    assert w.total_mass == pytest.approx(float(mpmath.beta(alpha + 1, 0.5) / 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.37, 150.0])
+def test_std_tail_past_the_origin(alpha):
+    # for 1 < u <= 2, i.e. -1 <= r < 0, the integral of (1 - s^2)^alpha
+    # over (r, 1): the whole B(alpha + 1, 1/2) less the tail at -r
+    mpmath = pytest.importorskip("mpmath")
+    w = std_weight(alpha)
+    us = np.array([1.0 + 2.0 ** -40, 1.001, 1.2, 1.5, 1.9, 1.999999, 2.0])
+    tails, logs = w.tail_u(us), w.tail_u_log(np.log(us))
+    with mpmath.workdps(40):
+        for u, t, lt in zip(us.tolist(), tails.tolist(), logs.tolist()):
+            want = _std_tail_oracle(mpmath, alpha, u)
+            assert abs(t / want - 1) <= 3e-14, u
+            assert abs(lt - mpmath.log(want)) <= 3e-14, u
+    assert w.tail(-1.0) == pytest.approx(2.0 * w.total_mass, rel=1e-15)
+    assert np.isnan(w.tail_u(np.array([2.0 + 2.0 ** -51, -1e-300, math.nan]))).all()
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.37, 1.0, 150.0])
 def test_std_tail_float_equals_array(alpha):
     # a float, a 0-d array and an entry of an array get the same bits,
-    # NaN outside 0 <= u <= 1 and 0 at u = 0 included
+    # 0 at u = 0, the mirror for 1 < u <= 2 and NaN beyond included
     w = std_weight(alpha).scaled(1.7)
     us = np.concatenate([_TAIL_US, [0.0, 5e-324, 1e-310, 1.5, -0.5, math.nan]])
     lus = np.concatenate([np.log(_TAIL_US), [-np.inf, -1000.0, -745.0, 1e-300, 0.4, math.nan]])
@@ -97,7 +142,8 @@ def test_std_tail_float_equals_array(alpha):
         assert got.tobytes() == f(xs.reshape(2, -1)).ravel().tobytes()
         assert np.array([f(x) for x in xs.tolist()]).tobytes() == got.tobytes()
         assert np.array([f(np.array(x)) for x in xs]).tobytes() == got.tobytes()
-    assert w.tail_u(0.0) == 0.0 and np.isnan(w.tail_u(1.5)) and np.isnan(w.tail_u(-0.5))
+    assert w.tail_u(0.0) == 0.0 and np.isnan(w.tail_u(2.5)) and np.isnan(w.tail_u(-0.5))
+    assert w.tail_u(1.5) == pytest.approx(2.0 * w.total_mass - w.tail_u(0.5), rel=1e-15)
 
 
 def test_logpow_tail_value(w_logpow2):
