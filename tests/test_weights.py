@@ -62,10 +62,12 @@ def test_std_tail_closed_form():
         assert w.tail(r) == pytest.approx(expect, rel=1e-11)
 
 
-#: u from 1e-300 to 1, the series/rule switch of special.StdTail, and
-#: 1 < u <= 2, i.e. -1 <= r < 0
+#: u from 1e-300 to 1, the series/rule switch of special.StdTail, the
+#: switch of StdTailCF's continued fraction for alpha >= 50 (x = u(2-u)
+#: near 1), and 1 < u <= 2, i.e. -1 <= r < 0
 _TAIL_US = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.05, 1.0, 41),
                            [2.0 ** -7, 2.0 ** -7 * (1 + 2.0 ** -52), 2.0 ** -8],
+                           np.linspace(0.7, 0.995, 60),
                            [1.0 + 2.0 ** -40, 1.001, 1.2, 1.5, 1.75, 1.9, 1.999999, 2.0]])
 
 
