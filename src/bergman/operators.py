@@ -44,7 +44,7 @@ from .quadrature import (_WEIGHTS as _GAUSS_WEIGHTS, gauss_panels,
                          integrate_geometric, integrate_geometric_vec)
 from .results import divergent, finite, undetermined
 from .special import hyp2f1_11, hyp2f1_11_int, lgamma_ratio
-from .weights import carleson_mass, condition_99
+from .weights import _integrability_verdict, carleson_mass, condition_99
 
 #: largest Hankel product N m still summed densely (cheaper than the FFT)
 _HANKEL_DENSE_MAX = 2 ** 16
@@ -64,8 +64,10 @@ class OperatorSetting:
 
     ``s`` is the derived exponent with 1/s = 1/q - 1/p, defined exactly
     when q < p (it parametrizes the mixed norm characterizing bounded
-    symbols in that regime).  The well-definedness verdict — finiteness of
-    the integral of tail^(-1/(p-1)) — is computed once and cached.
+    symbols in that regime).  Well-definedness — finiteness of the integral
+    of tail^(-1/(p-1)) — is decided from the tail exponent alone, the
+    verdict of ``condition_99``; ``condition`` computes the integral too,
+    once, when it is read.
     """
 
     def __init__(self, p, q, weight):
@@ -87,11 +89,11 @@ class OperatorSetting:
         return self._condition
 
     def require_well_defined(self):
-        c = self.condition
-        if c.verdict != "finite":
+        verdict = _integrability_verdict(self.weight, self.p)[0]
+        if verdict != "finite":
             raise WellDefinednessError(
                 "H_g is not defined on A^p for p = %g with this weight: "
-                "integral of tail^(-1/(p-1)) is %s" % (self.p, c.verdict))
+                "integral of tail^(-1/(p-1)) is %s" % (self.p, verdict))
 
     def __repr__(self):
         s = "" if self.s is None else ", s=%g" % self.s

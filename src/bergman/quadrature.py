@@ -35,8 +35,10 @@ caller ``analytic.radial_norms``, which serves ``bergman_norm``,
 ``mixed_norm``, ``bergman norms`` and every radial norm of the TH-DEC,
 COR-HILB and INEQ-MINFTY scenarios), ``hilbert_norm2_profile``
 (60 levels per span, one kernel table on the union of a batch of spans'
-nodes) and ``muckenhoupt`` (panels between grid points, then one
-cumulative sum per factor).
+nodes) and ``weights._sup_grid_factors`` (panels between the sup-grid
+points, then one cumulative sum per factor), the one reader for both
+``muckenhoupt`` and ``condition_99``, whose integral is the first factor
+at r = 0.
 :func:`adaptive_panel` bisects one panel at a time; it serves the
 ``adaptive`` panels of :func:`integrate_geometric` and
 ``weights._integrate_endpoint``, whose panels grow geometrically in

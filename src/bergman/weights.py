@@ -60,17 +60,22 @@ class RadialWeight:
     scale-invariance properties are exact by construction.
     ``moment_closed(lo, hi)``, when given, returns the unscaled
     omega_lo..omega_(hi-1), each with the same bits whatever lo and hi.
+    ``log_density_u_log(lu)``, when given, is log(density_u(u) u) from
+    lu = log u, for depths where the density underflows.  The diagnostics
+    below (tail exponent, sup-grid factors) are memoized on the weight.
     """
 
     def __init__(self, family, params, density_u, tail_u=None, mass=None,
                  scale=1.0, density_u_log=None, tail_u_log=None,
-                 moment_closed=None, moment_plain_closed=None):
+                 moment_closed=None, moment_plain_closed=None,
+                 log_density_u_log=None):
         self.family = family
         self.params = dict(params)
         self._density_u = density_u
         self._tail_u = tail_u
         self._density_u_log = density_u_log
         self._tail_u_log = tail_u_log
+        self._log_density_u_log = log_density_u_log
         self._moment_closed = moment_closed
         self._moment_plain_closed = moment_plain_closed
         self.scale = float(scale)
@@ -78,6 +83,7 @@ class RadialWeight:
             raise DomainError("weight scale must be finite and positive")
         self._tail_cache = {}
         self._moment_cache = {}
+        self._diagnostic_cache = {}
         if mass is None:
             if tail_u is not None:
                 mass = float(tail_u(1.0))
@@ -125,6 +131,20 @@ class RadialWeight:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(np.asarray(self.tail_u(np.exp(lu)), dtype=float))
 
+    def log_density_u_log(self, lu):
+        """log(density_u(u) u) evaluated from lu = log u.
+
+        Stays accurate where the density underflows; falls back to the log
+        of the product at u = e^lu when no closed log form is available.
+        """
+        lu = np.asarray(lu, dtype=float)
+        if self._log_density_u_log is not None:
+            return math.log(self.scale) + self._log_density_u_log(lu) \
+                if self.scale != 1.0 else self._log_density_u_log(lu)
+        u = np.exp(lu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(np.asarray(self.density_u(u), dtype=float) * u)
+
     def _tail_numeric_cached(self, u):
         v = self._tail_cache.get(u)
         if v is None:
@@ -164,7 +184,8 @@ class RadialWeight:
                             density_u_log=self._density_u_log,
                             tail_u_log=self._tail_u_log,
                             moment_closed=self._moment_closed,
-                            moment_plain_closed=self._moment_plain_closed)
+                            moment_plain_closed=self._moment_plain_closed,
+                            log_density_u_log=self._log_density_u_log)
 
     def normalized(self):
         """Unit-mass rescaling; the applied factor is 1/total_mass."""
@@ -341,7 +362,8 @@ def std_weight(alpha):
     # t^alpha (1 - u t/2)^alpha over (0, 1): its series for small u, a
     # Gauss-Jacobi rule above, up to alpha = 50; the incomplete Beta
     # function's continued fraction beyond (special.std_tail).  Its log
-    # form stays accurate where the tail underflows; the mass is
+    # form, and that of density * u, (alpha+1) log u + alpha log(2 - u),
+    # stay accurate where tail and density underflow; the mass is
     # B(alpha+1, 1/2)/2 and the moments B(n+1, alpha+1)/2
     tail = special.std_tail(alpha)
     return RadialWeight(
@@ -349,6 +371,7 @@ def std_weight(alpha):
         density_u=lambda u: (u * (2.0 - u)) ** alpha,
         tail_u=tail,
         tail_u_log=tail.log,
+        log_density_u_log=lambda lu: a1 * lu + alpha * np.log(2.0 - np.exp(lu)),
         mass=0.5 * special.beta(a1, 0.5),
         moment_closed=lambda lo, hi: 0.5 * special.beta(np.arange(lo + 1.0, hi + 1.0), a1),
         moment_plain_closed=lambda x: 0.5 * special.beta((x + 1.0) / 2.0, a1),
@@ -365,6 +388,7 @@ def pow_weight(beta):
         density_u=lambda u: u ** beta,
         tail_u=lambda u: u ** b1 / b1,
         tail_u_log=lambda lu: b1 * np.asarray(lu, dtype=float) - math.log(b1),
+        log_density_u_log=lambda lu: b1 * np.asarray(lu, dtype=float),
         mass=1.0 / b1,
         moment_closed=lambda lo, hi: special.beta(2.0 * np.arange(lo + 1.0, hi + 1.0), b1),
         moment_plain_closed=lambda x: special.beta(x + 1.0, b1),
@@ -624,8 +648,32 @@ class WeightClassification:
 #: a regular weight must keep psi/(1-r) within this dynamic range on the grid
 _REGULAR_SPREAD_BOUND = 50.0
 
+#: classify's grid 1 - r = 2^(-j), j = 0..24; _fit_exponents takes the
+#: slopes between each pair of its deep points (j >= 4), whose
+#: differences of log(1-r) are fixed
+_CLASSIFY_U = 2.0 ** (-np.arange(0, 25, dtype=float))
+_FIT_FROM = 4
+_FIT_I, _FIT_J = np.triu_indices(len(_CLASSIFY_U) - _FIT_FROM, 1)
+_FIT_DLOG_U = (np.log(_CLASSIFY_U[_FIT_FROM:])[_FIT_I]
+               - np.log(_CLASSIFY_U[_FIT_FROM:])[_FIT_J])
+
 #: the deep dyadic levels whose tail ratios give tail_exponent
 _TAIL_LEVELS = (38, 39, 40)
+_TAIL_U = np.ldexp(1.0, -np.arange(_TAIL_LEVELS[0], _TAIL_LEVELS[-1] + 2))
+
+#: the smallest normal double: a tail or density below it has lost bits
+_TINY = np.finfo(float).tiny
+
+
+def _log_tails(w, us, tails):
+    """log of the tails at ``us``, from ``w.tail_u_log`` where they underflow."""
+    under = ~(tails >= _TINY)
+    if not under.any():
+        return np.log(tails)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(tails)
+    logs[under] = w.tail_u_log(np.log(us[under]))
+    return logs
 
 
 def classify(w):
@@ -635,11 +683,19 @@ def classify(w):
     1 - r = 2^(-j), j = 0..24.  Bounded dynamic range means Regular; a ratio
     that is still increasing at the end of the grid and has grown by more
     than a factor 10 means RapidlyIncreasing; anything else is reported as
-    Undetermined rather than guessed.
+    Undetermined rather than guessed.  Where tail or density underflow
+    (std and pow weights of large exponent) the ratio is taken from their
+    log forms.
     """
-    us = 2.0 ** (-np.arange(0, 25, dtype=float))
+    us = _CLASSIFY_U
     tails = np.asarray(w.tail_u(us), dtype=float)
-    ratios = tails / (np.asarray(w.density_u(us), dtype=float) * us)
+    fu = np.asarray(w.density_u(us), dtype=float) * us
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = tails / fu
+    under = ~((tails >= _TINY) & (fu >= _TINY))
+    if under.any():
+        lus = np.log(us[under])
+        ratios[under] = np.exp(w.tail_u_log(lus) - w.log_density_u_log(lus))
     rmin, rmax = float(np.min(ratios)), float(np.max(ratios))
 
     tail_part = ratios[-6:]
@@ -649,36 +705,41 @@ def classify(w):
         exps = None
     elif rmax <= _REGULAR_SPREAD_BOUND * rmin:
         verdict = "Regular"
-        exps = _fit_exponents(us, tails)
+        exps = _fit_exponents(_log_tails(w, us[_FIT_FROM:], tails[_FIT_FROM:]))
     else:
         verdict = "Undetermined"
         exps = None
     return WeightClassification(verdict, (rmin, rmax), exps)
 
 
-def _fit_exponents(us, tails):
+def _fit_exponents(log_tails):
     """Extreme pairwise slopes of log what against log(1-r) on the deep grid."""
-    deep = us <= 2.0 ** -4
-    logs_u = np.log(us[deep])
-    logs_t = np.log(tails[deep])
-    slopes = []
-    for i in range(len(logs_u)):
-        for j in range(i + 1, len(logs_u)):
-            slopes.append((logs_t[i] - logs_t[j]) / (logs_u[i] - logs_u[j]))
+    slopes = (log_tails[_FIT_I] - log_tails[_FIT_J]) / _FIT_DLOG_U
     return (float(np.min(slopes)), float(np.max(slopes)))
 
 
 def tail_exponent(w):
-    """Local power exponent of what near r = 1 on deep dyadic levels."""
-    levels = np.arange(_TAIL_LEVELS[0], _TAIL_LEVELS[-1] + 2)
-    tails = np.asarray(w.tail_u(np.ldexp(1.0, -levels)), dtype=float).tolist()
-    slopes = [math.log(t1 / t2) / math.log(2.0) for t1, t2 in zip(tails[:-1], tails[1:])]
-    return float(np.mean(slopes))
+    """Local power exponent of what near r = 1 on deep dyadic levels.
+
+    Computed once per weight; where a tail underflows the slopes are
+    differences of ``tail_u_log``.
+    """
+    theta = w._diagnostic_cache.get("tail_exponent")
+    if theta is None:
+        tails = np.asarray(w.tail_u(_TAIL_U), dtype=float)
+        if tails.min() >= _TINY:
+            t = tails.tolist()
+            slopes = [math.log(t1 / t2) / math.log(2.0) for t1, t2 in zip(t[:-1], t[1:])]
+        else:
+            logs = _log_tails(w, _TAIL_U, tails)
+            slopes = ((logs[:-1] - logs[1:]) / math.log(2.0)).tolist()
+        theta = w._diagnostic_cache["tail_exponent"] = float(np.mean(slopes))
+    return theta
 
 
 # divergence detector thresholds for integral of what^(-1/(p-1)):
 # exponent ratio >= 1 - 0.02 is divergent, <= 1 - 0.05 finite, in between
-# the verdict is honestly Undetermined.
+# (or NaN) the verdict is honestly Undetermined.
 _DIVERGE_HI = 0.98
 _DIVERGE_LO = 0.95
 
@@ -688,9 +749,64 @@ def _integrability_verdict(w, p):
     m = theta / (p - 1.0)
     if m >= _DIVERGE_HI:
         return "divergent", m, theta
-    if m > _DIVERGE_LO:
-        return "undetermined", m, theta
-    return "finite", m, theta
+    if m <= _DIVERGE_LO:
+        return "finite", m, theta
+    return "undetermined", m, theta
+
+
+#: muckenhoupt's sup grid, descending from u = 1 to 2^-40, and the Gauss
+#: panels between its neighbouring points (panel i spans [u[i+1], u[i]])
+_SUP_GRID = geometric_u_grid(40, 4)
+_SUP_NODES, _SUP_HALVES = gauss_panels(_SUP_GRID)
+# the grids are shared by every call, so no tail may write into them
+for _grid in (_CLASSIFY_U, _TAIL_U, _SUP_GRID, _SUP_NODES, _SUP_HALVES):
+    _grid.flags.writeable = False
+del _grid
+
+
+def _in_logs(w, u, tails, terms, s, t):
+    """``terms`` = what(u)^s u^t at the nodes u, with exp(s log what + t log u)
+    from ``tail_u_log`` where a tail is not a normal float or a term is not
+    finite: std weights of large alpha underflow on the sup grid."""
+    bad = ~((tails >= _TINY) & (terms < math.inf))
+    if bad.any():
+        lu = np.log(u[bad])
+        terms[bad] = np.exp(s * w.tail_u_log(lu) + t * lu)
+    return terms
+
+
+def _sup_grid_factors(w, p):
+    """a(u_i) = integral of what^(-1/(p-1)) over (0, u_i) and
+    b(u_i) = integral of what / u^p over (u_i, 1) on the sup grid.
+
+    Both are cumulative sums over the panels between grid points, which
+    share one tail evaluation; a adds them from the deepest point up, on
+    top of one geometric integral below it, and b from u = 1 down.  Memoized
+    on the weight per p: a(1) is condition (99)'s integral.
+    """
+    key = ("sup-grid", p)
+    factors = w._diagnostic_cache.get(key)
+    if factors is None:
+        qexp = 1.0 / (p - 1.0)
+
+        def a_terms(u, tails):
+            with np.errstate(divide="ignore", over="ignore"):
+                terms = tails ** -qexp
+            return _in_logs(w, u, tails, terms, -qexp, 0.0)
+
+        tails = np.asarray(w.tail_u(_SUP_NODES.ravel()), dtype=float).reshape(_SUP_NODES.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_terms = _SUP_NODES ** -p * tails
+        b_terms = _in_logs(w, _SUP_NODES, tails, b_terms, 1.0, -p)
+        a_panels = _SUP_HALVES * np.sum(_WEIGHTS * a_terms(_SUP_NODES, tails), axis=1)
+        b_panels = _SUP_HALVES * np.sum(_WEIGHTS * b_terms, axis=1)
+        a_deep = integrate_geometric(
+            lambda v: a_terms(v, np.asarray(w.tail_u(v), dtype=float)), 0.0, _SUP_GRID[-1])
+        # a contiguous a_vals takes the same power loop as a filled array
+        a_vals = np.cumsum(np.concatenate(([a_deep], a_panels[::-1])))[::-1].copy()
+        b_vals = np.cumsum(np.concatenate(([0.0], b_panels)))
+        factors = w._diagnostic_cache[key] = (a_vals, b_vals)
+    return factors
 
 
 def condition_99(w, p):
@@ -698,7 +814,8 @@ def condition_99(w, p):
 
     This is the well-definedness condition for the generalized Hilbert
     operator on A^p_omega.  Scale-invariant decisions: only the tail
-    exponent enters the verdict.
+    exponent enters the verdict.  The value is the first factor of
+    :func:`muckenhoupt` at r = 0, from the same panels.
     """
     if not p > 1:                # NaN fails too
         raise DomainError("condition requires p > 1")
@@ -707,9 +824,8 @@ def condition_99(w, p):
         return divergent(method="quadrature", exponent=-m, tail_exponent=theta)
     if verdict == "undetermined":
         return undetermined(method="quadrature", exponent=-m, tail_exponent=theta)
-    q = 1.0 / (p - 1.0)
-    value = integrate_geometric(lambda v: np.asarray(w.tail_u(v)) ** -q, 0.0, 1.0)
-    return finite(value, method="quadrature", exponent=-m, tail_exponent=theta)
+    a_vals, _ = _sup_grid_factors(w, p)
+    return finite(float(a_vals[0]), method="quadrature", exponent=-m, tail_exponent=theta)
 
 
 def muckenhoupt(w, p):
@@ -719,9 +835,8 @@ def muckenhoupt(w, p):
 
     computed on a geometric sup grid.  The improper first factor carries a
     divergence detector on the tail exponent of what; divergence is a
-    verdict, not an exception.  Both factors are cumulative sums over the
-    Gauss panels between neighbouring grid points, which share one tail
-    evaluation.
+    verdict, not an exception.  The factors are those of
+    :func:`_sup_grid_factors`.
     """
     if not p > 1:                # NaN fails too
         raise DomainError("muckenhoupt constant requires p > 1")
@@ -731,23 +846,11 @@ def muckenhoupt(w, p):
     if verdict == "undetermined":
         return undetermined(method="sup-grid", exponent=-m, tail_exponent=theta)
 
-    us = geometric_u_grid(40, 4)               # descending from u = 1
-    qexp = 1.0 / (p - 1.0)
-    nodes, halves = gauss_panels(us)           # panel i spans [us[i+1], us[i]]
-    tails = np.asarray(w.tail_u(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    a_panels = halves * np.sum(_WEIGHTS * tails ** -qexp, axis=1)
-    b_panels = halves * np.sum(_WEIGHTS * (nodes ** -p * tails), axis=1)
-    # a(u_i) adds panels from the deepest point up, b(u_i) from u = 1 down;
-    # a contiguous a_vals takes the same power loop as a filled array
-    a_deep = integrate_geometric(lambda v: np.asarray(w.tail_u(v)) ** -qexp,
-                                 0.0, us[-1])
-    a_vals = np.cumsum(np.concatenate(([a_deep], a_panels[::-1])))[::-1].copy()
-    b_vals = np.cumsum(np.concatenate(([0.0], b_panels)))
-
+    a_vals, b_vals = _sup_grid_factors(w, p)
     vals = a_vals ** (1.0 - 1.0 / p) * b_vals ** (1.0 / p)
     k = int(np.argmax(vals))
     return finite(vals[k], method="sup-grid",
-                  argmax_u=float(us[k]), grid_size=len(us),
+                  argmax_u=float(_SUP_GRID[k]), grid_size=len(_SUP_GRID),
                   exponent=-m, tail_exponent=theta)
 
 

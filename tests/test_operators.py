@@ -22,7 +22,7 @@ from bergman.operators import test_function_Q as q_test_function
 from bergman.operators import test_function_fN as fn_test_function
 from bergman.decomposition import partition
 from bergman.quadrature import _WEIGHTS as _GAUSS_WEIGHTS, gauss_panels
-from bergman.weights import std_weight
+from bergman.weights import condition_99, parse_weight, std_weight
 
 coeff_lists = st.lists(st.floats(min_value=-2.0, max_value=2.0)
                        .map(lambda x: round(x, 3)),
@@ -148,6 +148,29 @@ def test_well_definedness_refusal(w_const, w_std_m05):
     with pytest.raises(WellDefinednessError):
         setting.require_well_defined()
     OperatorSetting(2, 2, w_std_m05).require_well_defined()
+
+
+@pytest.mark.parametrize("spec,p", [("std(alpha=-0.5)", 2.0), ("const()", 2.0),
+                                    ("std(alpha=0.5)", 2.55)])
+def test_well_definedness_is_the_condition_verdict(spec, p, monkeypatch):
+    # the check is condition (99)'s verdict, from the tail exponent's four
+    # tails alone; reading .condition integrates once
+    expected = condition_99(parse_weight(spec).normalized(), p)
+    w = parse_weight(spec).normalized()
+    setting = OperatorSetting(p, 2, w)
+    sizes = []
+    tail_u = w.tail_u
+    monkeypatch.setattr(w, "tail_u", lambda u: sizes.append(np.size(u)) or tail_u(u))
+    if expected.verdict == "finite":
+        setting.require_well_defined()
+    else:
+        with pytest.raises(WellDefinednessError, match=expected.verdict):
+            setting.require_well_defined()
+    assert sizes == [4]
+    c = setting.condition
+    assert setting.condition is c
+    assert c.verdict == expected.verdict
+    assert c.value == expected.value or (math.isnan(c.value) and math.isnan(expected.value))
 
 
 # --------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman.errors import DivergentMassError, DomainError
-from bergman.weights import (carleson_mass, classify, condition_99,
-                             derived_weight, distortion, muckenhoupt,
-                             parse_weight, pow_weight, std_weight,
+from bergman.weights import (RadialWeight, _sup_grid_factors, carleson_mass,
+                             classify, condition_99, derived_weight, distortion,
+                             muckenhoupt, parse_weight, pow_weight, std_weight,
                              table_weight, tail_exponent, u_p_weight)
 
 
@@ -231,6 +231,113 @@ def test_muckenhoupt_scale_invariant(w_std_m05):
 def test_muckenhoupt_requires_p_gt_1(w_const):
     with pytest.raises(DomainError):
         muckenhoupt(w_const, 1.0)
+
+
+def _condition_99_oracle(mpmath, alpha, p, k_max=60):
+    """The integral of T(u)^(-1/(p-1)) over (0, 1) at 30 digits, T the std
+    tail 0.5 betainc(alpha+1, 1/2, 0, u(2-u)): Gauss-Legendre on the dyadic
+    panels [2^-(k+1), 2^-k], k < k_max, and below 2^-k_max the closed
+    integral of the leading term (2^alpha u^(alpha+1)/(alpha+1))^(-q)."""
+    with mpmath.workdps(30):
+        a1, q = mpmath.mpf(alpha) + 1, 1 / (mpmath.mpf(p) - 1)
+        f = lambda u: (mpmath.betainc(a1, 0.5, 0, u * (2 - u)) / 2) ** -q
+        total = mpmath.fsum(mpmath.quad(f, [mpmath.ldexp(1, -k - 1), mpmath.ldexp(1, -k)],
+                                        method="gauss-legendre")
+                            for k in range(k_max))
+        m, eps = a1 * q, mpmath.ldexp(1, -k_max)
+        total += (mpmath.mpf(2) ** alpha / a1) ** -q * eps ** (1 - m) / (1 - m)
+        return total
+
+
+@pytest.mark.parametrize("alpha,p", [(-0.4545, 1.6078), (-0.8, 1.4), (0.5, 2.6),
+                                     (1.5, 4.0), (30.0, 40.0)])
+def test_condition_99_mpmath(alpha, p):
+    # m = (alpha+1)/(p-1) in 0.5..0.94, where the geometric closure of a
+    # separate integral over (0, 1) was up to 2.9e-9 off (5.964476531033 at
+    # the first case, 5.964476513782 true); std(30)'s tails underflow below
+    # u = 2^-33 and are taken from their logs there
+    mpmath = pytest.importorskip("mpmath")
+    w = std_weight(alpha)
+    c = condition_99(w, p)
+    assert c.verdict == "finite"
+    assert abs(c.value / _condition_99_oracle(mpmath, alpha, p) - 1) <= 1e-13
+    # condition (99) is muckenhoupt's first factor at r = 0, bit for bit
+    fresh = std_weight(alpha)
+    assert muckenhoupt(fresh, p).verdict == "finite"
+    assert _sup_grid_factors(fresh, p)[0][0] == c.value
+
+
+@pytest.mark.parametrize("alpha,p", [(30.0, 3.0), (60.0, 3.0), (150.0, 3.0), (1000.0, 3.0),
+                                     (30.0, 40.0), (60.0, 70.0)])
+def test_large_alpha_diagnostics(alpha, p, capsys):
+    # from alpha ~ 26 on std tails underflow on the deep grids; classify and
+    # tail_exponent read their logs there, and so do the sup-grid factors
+    from bergman import cli
+    w = std_weight(alpha)
+    c = classify(w)
+    assert c.verdict == "Regular"
+    assert c.ratio_range[0] == pytest.approx(1.0 / (alpha + 1.0), rel=1e-4)
+    assert math.isfinite(c.ratio_range[1]) and c.ratio_range[1] < 1.0
+    assert tail_exponent(w) == pytest.approx(alpha + 1.0, abs=1e-9)
+    assert cli.main(["weights", "inspect", "--weight", "std(alpha=%r)" % alpha,
+                     "--p", repr(p)]) == 0
+    out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    verdict = "finite" if alpha < p - 2 else "divergent"
+    for name in ("muckenhoupt_p%g" % p, "condition_99_p%g" % p):
+        assert out[name].split()[0] == verdict
+        if verdict == "finite":
+            assert math.isfinite(float(out[name].split()[1]))
+
+
+def _record_points(monkeypatch, w):
+    """The u arrays of every tail_u and density_u call on ``w``."""
+    seen = {"tail_u": [], "density_u": []}
+    for name, calls in seen.items():
+        method = getattr(RadialWeight, name)
+
+        def traced(self, u, method=method, calls=calls):
+            if self is w:
+                calls.append(np.array(u, dtype=float).ravel())
+            return method(self, u)
+        monkeypatch.setattr(RadialWeight, name, traced)
+    return seen
+
+
+def test_inspect_evaluates_each_point_set_once(monkeypatch, capsys):
+    # classify's 25 points, the tail exponent's 4, the 2560 Gauss nodes of
+    # the sup grid and the deep integral below 2^-40, each evaluated once
+    # for classify, tail_exponent, muckenhoupt and condition (99) together
+    from bergman import cli
+    w = std_weight(-0.4545)
+    monkeypatch.setattr(cli, "parse_weight", lambda spec: w)
+    seen = _record_points(monkeypatch, w)
+    assert cli.main(["weights", "inspect", "--weight", "std(alpha=-0.4545)",
+                     "--p", "1.6078"]) == 0
+    assert "condition_99_p1.6078: finite" in capsys.readouterr().out
+    tails = seen["tail_u"]
+    assert [len(u) for u in tails[:3]] == [25, 4, 2560]
+    deep = np.concatenate(tails[3:])
+    assert deep.size and np.all(deep < 2.0 ** -40)
+    points = np.concatenate(tails)
+    assert len(np.unique(points)) == len(points)
+    assert [len(u) for u in seen["density_u"]] == [25]
+
+
+@pytest.mark.parametrize("make", [lambda: std_weight(0.5),
+                                  lambda: u_p_weight(std_weight(-0.5), 2.0)])
+def test_classify_evaluates_25_points(make, monkeypatch):
+    # one tail and one density call on classify's grid, as before the
+    # diagnostics shared their sweeps; the fitted exponents are the
+    # extreme slopes over every pair of deep points, in that arithmetic
+    w = make()
+    seen = _record_points(monkeypatch, w)
+    c = classify(w)
+    assert [len(u) for u in seen["tail_u"]] == [len(u) for u in seen["density_u"]] == [25]
+    us = seen["tail_u"][0]
+    logs_u, logs_t = np.log(us[4:]), np.log(w.tail_u(us)[4:])
+    slopes = [(logs_t[i] - logs_t[j]) / (logs_u[i] - logs_u[j])
+              for i in range(len(logs_u)) for j in range(i + 1, len(logs_u))]
+    assert c.exponents == (float(np.min(slopes)), float(np.max(slopes)))
 
 
 def test_u_p_weight_existence(w_const, w_std_m05):
